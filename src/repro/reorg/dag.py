@@ -11,14 +11,22 @@ absolute addresses, or same unmodified base register with different
 displacements) need no edge; everything else is conservatively ordered
 ("The algorithm must also avoid reordering loads and stores that might
 be aliased").
+
+The builder makes one pass over the block.  A per-register table (last
+writer, readers since that write) gives the register edges; a fence
+(barrier or flow piece) gets edges only from the pieces since the
+previous fence that have no successor yet, and a piece after a fence
+gets an edge from it only when nothing since the fence precedes it.
+The resulting DAG omits an all-pairs edge only where a path with at
+least the same summed distance implies it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..isa.pieces import Absolute, Displacement, Load, Piece, Store
+from ..isa.pieces import Absolute, Displacement, Piece
 from .pipeline_model import DepKind, is_barrier, min_distance
 
 
@@ -78,42 +86,83 @@ class DependenceDag:
         self.nodes[succ].preds[pred] = distance
 
     def _build(self) -> None:
-        pieces = [n.piece for n in self.nodes]
-        for j, later in enumerate(pieces):
-            j_reads = later.reads() | later.reads_special()
-            j_writes = later.writes() | later.writes_special()
-            base_written = False
-            for i in range(j - 1, -1, -1):
-                earlier = pieces[i]
-                i_reads = earlier.reads() | earlier.reads_special()
-                i_writes = earlier.writes() | earlier.writes_special()
+        """One pass over the block, O(pieces + accesses + memory pairs).
 
-                if is_barrier(earlier) or is_barrier(later):
-                    self._add_edge(i, j, DepKind.ORDER)
-                if earlier.is_flow or later.is_flow:
-                    # flow ends the block: everything precedes it
-                    self._add_edge(i, j, DepKind.ORDER)
-                if i_writes & j_reads:
-                    self._add_edge(i, j, DepKind.RAW)
-                if i_reads & j_writes:
+        A per-register table (last writer, readers since that write)
+        yields RAW, WAR and WAW edges; fences (barriers and flow pieces)
+        and memory references get only the edges no path implies.  An
+        edge i->j is left out only when a path i->...->j whose distances
+        sum to at least its own already exists, so readiness, heights
+        and :meth:`independent` match the all-pairs DAG's.
+        """
+        last_writer: Dict[object, int] = {}
+        readers: Dict[object, List[int]] = {}
+        memory: List[int] = []
+        fence: Optional[int] = None  # most recent barrier or flow piece
+        for j, node in enumerate(self.nodes):
+            piece = node.piece
+            is_fence = piece.is_flow or is_barrier(piece)
+            if is_fence:
+                # everything since the last fence precedes this one; a
+                # piece with a successor reaches it through that successor
+                for i in range(0 if fence is None else fence, j):
+                    if not self.nodes[i].succs:
+                        self._add_edge(i, j, DepKind.ORDER)
+
+            reads = piece.reads() | piece.reads_special()
+            writes = piece.writes() | piece.writes_special()
+            for reg in reads:
+                if reg in last_writer:
+                    self._add_edge(last_writer[reg], j, DepKind.RAW)
+            if piece.is_memory:
+                self._memory_edges(j, memory, last_writer)
+                memory.append(j)
+            for reg in writes:
+                for i in readers.pop(reg, ()):
                     self._add_edge(i, j, DepKind.WAR)
-                if i_writes & j_writes:
-                    self._add_edge(i, j, DepKind.WAW)
+                if reg in last_writer:
+                    self._add_edge(last_writer[reg], j, DepKind.WAW)
+            for reg in reads - writes:
+                readers.setdefault(reg, []).append(j)
+            for reg in writes:
+                last_writer[reg] = j
 
-                if later.is_memory and earlier.is_memory:
-                    either_stores = earlier.is_store or later.is_store
-                    io_pair = _is_io_like(earlier) and _is_io_like(later)
-                    if io_pair or (
-                        either_stores
-                        and not _addresses_disjoint(earlier, later, base_written)
-                    ):
-                        self._add_edge(i, j, DepKind.MEM)
+            if is_fence:
+                fence = j
+            elif fence is not None and all(p <= fence for p in node.preds):
+                # nothing since the fence already orders this piece after it
+                self._add_edge(fence, j, DepKind.ORDER)
 
-                # track whether any piece between i and j (exclusive)
-                # rewrites j's base register, for the alias check
-                if later.is_memory and isinstance(later.addr, Displacement):  # type: ignore[union-attr]
-                    if later.addr.base in i_writes:  # type: ignore[union-attr]
-                        base_written = True
+    def _memory_edges(
+        self, j: int, memory: List[int], last_writer: Dict[object, int]
+    ) -> None:
+        """Alias edges into memory reference ``j`` from earlier ones.
+
+        Scans the earlier references newest first.  A conflicting store
+        whose address is not a displacement conflicts with every earlier
+        reference, so it ends the scan; after the first absolute
+        reference, earlier absolute ones are ordered through it.
+        """
+        later = self.nodes[j].piece
+        addr = later.addr  # type: ignore[union-attr]
+        later_io = isinstance(addr, Absolute)
+        # the last write of j's base register, for the alias check's
+        # "base rewritten between the two references" rule
+        base_writer = last_writer.get(addr.base, -1) if isinstance(addr, Displacement) else -1
+        seen_io = False
+        for i in reversed(memory):
+            earlier = self.nodes[i].piece
+            io_pair = later_io and _is_io_like(earlier)
+            if io_pair and seen_io:
+                continue
+            either_stores = earlier.is_store or later.is_store
+            if io_pair or (
+                either_stores and not _addresses_disjoint(earlier, later, base_writer > i)
+            ):
+                self._add_edge(i, j, DepKind.MEM)
+                if earlier.is_store and not isinstance(earlier.addr, Displacement):  # type: ignore[union-attr]
+                    return
+            seen_io = seen_io or io_pair
 
     def _compute_heights(self) -> None:
         for node in reversed(self.nodes):
@@ -126,10 +175,6 @@ class DependenceDag:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def roots(self) -> List[int]:
-        """Nodes with no predecessors (schedulable first)."""
-        return [n.index for n in self.nodes if not n.preds]
 
     def topological_check(self, order: Sequence[int]) -> bool:
         """True when ``order`` respects every edge direction."""

@@ -128,7 +128,7 @@ def reorganize(
     scheduled: List[ScheduledBlock] = []
     for block in graph.blocks:
         if level.reorders:
-            scheduled.append(schedule_block(block, reorder=True, pack=level.packs))
+            scheduled.append(schedule_block(block, pack=level.packs))
         else:
             scheduled.append(naive_block(block))
 

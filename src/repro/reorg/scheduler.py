@@ -12,15 +12,16 @@ The paper's algorithm (section 4.2.1):
    hole in a nonfull instruction is preferred; this provides the
    instruction packing."
 
-Two knobs correspond to Table 11's cumulative levels: ``reorder``
-(choose by priority rather than source order) and ``pack`` (fill the
-second slot of the current word).
+One knob separates Table 11's ``reorganize`` and ``pack`` levels:
+``pack`` fills the second slot of the current word.  The ``none``
+level does not schedule at all (:func:`naive_block`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from bisect import insort
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 from ..isa.pieces import Noop, Piece
 from ..isa.words import InstructionWord, can_pack, packable_form
@@ -70,55 +71,58 @@ def violates_load_delay(word: InstructionWord, previous: Optional[InstructionWor
     return bool(in_flight and (set(word.reads()) & in_flight))
 
 
-def schedule_block(
-    block: BasicBlock, *, reorder: bool = True, pack: bool = True
-) -> ScheduledBlock:
+def schedule_block(block: BasicBlock, *, pack: bool = True) -> ScheduledBlock:
     """Schedule one basic block into instruction words.
 
-    With ``reorder=False`` and ``pack=False`` this degenerates to the
-    Table 11 "None" level for the block: source order, one piece per
-    word, no-ops inserted wherever a pipeline constraint demands one.
+    The ready set is kept incrementally: each node counts its
+    unscheduled predecessors and records the earliest word its
+    scheduled ones allow.  Candidates are visited in index order, so
+    ties break toward source order.
     """
     pieces = block.pieces
     if not pieces:
         return ScheduledBlock(block, [], None)
 
     dag = DependenceDag(pieces)
-    total = len(pieces)
-    scheduled_at: Dict[int, int] = {}
+    nodes = dag.nodes
+    waiting = [len(node.preds) for node in nodes]
+    earliest = [0] * len(nodes)
+    #: unscheduled nodes whose predecessors are all scheduled, in index order
+    released = [node.index for node in nodes if not node.preds]
+    remaining = len(nodes)
     words: List[InstructionWord] = []
     flow_pos: Optional[int] = None
     time = 0
 
+    def place(index: int) -> None:
+        """Schedule ``index`` at ``time`` and release its successors."""
+        nonlocal remaining
+        released.remove(index)
+        remaining -= 1
+        for succ, dist in nodes[index].succs.items():
+            earliest[succ] = max(earliest[succ], time + dist)
+            waiting[succ] -= 1
+            if not waiting[succ]:
+                insort(released, succ)
+
     def ready_nodes() -> List[int]:
-        out = []
-        for node in dag.nodes:
-            if node.index in scheduled_at:
-                continue
-            if all(
-                pred in scheduled_at and scheduled_at[pred] + dist <= time
-                for pred, dist in node.preds.items()
-            ):
-                out.append(node.index)
-        return out
+        return [index for index in released if earliest[index] <= time]
 
     def choose(candidates: List[int]) -> int:
-        if not reorder:
-            return min(candidates)  # source order
         # highest critical path first; memory pieces break ties (they
         # open a packing hole); then source order for determinism
         return max(
             candidates,
-            key=lambda i: (dag.nodes[i].height, dag.nodes[i].piece.is_memory, -i),
+            key=lambda i: (nodes[i].height, nodes[i].piece.is_memory, -i),
         )
 
     def independent(a: int, b: int) -> bool:
         """No ordering edge of distance >= 1 between the two nodes."""
-        ab = dag.nodes[a].succs.get(b)
-        ba = dag.nodes[b].succs.get(a)
+        ab = nodes[a].succs.get(b)
+        ba = nodes[b].succs.get(a)
         return (ab is None or ab == 0) and (ba is None or ba == 0)
 
-    while len(scheduled_at) < total:
+    while remaining:
         candidates = ready_nodes()
         if not candidates:
             words.append(InstructionWord.nop())
@@ -127,15 +131,13 @@ def schedule_block(
 
         primary = choose(candidates)
         primary_piece = pieces[primary]
-        scheduled_at[primary] = time
+        place(primary)
 
-        partner: Optional[int] = None
+        best: Optional[Tuple[int, int, Piece, Piece]] = None
         if pack and not primary_piece.is_flow and not isinstance(primary_piece, Noop):
-            # recompute readiness: scheduling the primary may enable a
-            # distance-0 (anti-dependent) partner in the same word
-            partner_candidates = ready_nodes()
-            best: Optional[Tuple[int, int, Piece, Piece]] = None
-            for c in partner_candidates:
+            # placing the primary may release a distance-0
+            # (anti-dependent) partner for the same word
+            for c in ready_nodes():
                 piece = pieces[c]
                 if piece.is_flow or isinstance(piece, Noop):
                     continue
@@ -153,14 +155,12 @@ def schedule_block(
                 packable = packable_form(alu)
                 if packable is None or not can_pack(mem, packable):
                     continue
-                score = dag.nodes[c].height
+                score = nodes[c].height
                 if best is None or score > best[0]:
                     best = (score, c, mem, packable)
-            if best is not None:
-                partner = best[1]
-                scheduled_at[partner] = time
 
-        if partner is not None and best is not None:
+        if best is not None:
+            place(best[1])
             word = InstructionWord.packed(best[2], best[3])
         else:
             word = InstructionWord.single(primary_piece)

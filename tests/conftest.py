@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+
 import pytest
 
 from repro.compiler import CompileOptions, compile_source
@@ -35,3 +38,13 @@ def run_program(compiled, inputs=None, hazard_mode=HazardMode.CHECKED, max_steps
 @pytest.fixture
 def run():
     return run_program
+
+
+@pytest.fixture(scope="session")
+def reorg_golden():
+    """``tools/reorg_golden.py`` as a module: its inputs and ``check``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "reorg_golden.py")
+    spec = importlib.util.spec_from_file_location("reorg_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

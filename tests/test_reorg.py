@@ -112,6 +112,107 @@ class TestDag:
         assert dag.topological_check([0, 1])
         assert not dag.topological_check([1, 0])
 
+    def test_fences_and_aliases_are_reduced(self):
+        """A run of loads between two barriers: one edge in and one out
+        per load, not one per pair; absolute stores form a chain."""
+        source = "\n".join(
+            ["mov r1, lo"] + [f"ld {k}(r5), r{k + 6}" for k in range(6)] + ["trap #0"]
+        )
+        dag = self._dag(source)
+        assert sum(len(n.succs) for n in dag.nodes) == 12
+        chain = self._dag("\n".join(f"st r1, @{100 + k}" for k in range(5)))
+        assert [sorted(n.succs) for n in chain.nodes] == [[1], [2], [3], [4], []]
+
+
+def _reference_dag(pieces):
+    """The all-pairs DAG: every ordered pair checked for every reason.
+
+    The oracle the table-driven builder is held to.  Returns one
+    ``{successor: distance}`` dict per node plus the node heights.
+    """
+    from repro.reorg.dag import _addresses_disjoint, _is_io_like
+    from repro.reorg.pipeline_model import is_barrier
+
+    succs = [{} for _ in pieces]
+    for j, later in enumerate(pieces):
+        j_reads = later.reads() | later.reads_special()
+        j_writes = later.writes() | later.writes_special()
+        base_written = False
+        for i in range(j - 1, -1, -1):
+            earlier = pieces[i]
+            i_reads = earlier.reads() | earlier.reads_special()
+            i_writes = earlier.writes() | earlier.writes_special()
+            kinds = []
+            if is_barrier(earlier) or is_barrier(later) or earlier.is_flow or later.is_flow:
+                kinds.append(DepKind.ORDER)
+            if i_writes & j_reads:
+                kinds.append(DepKind.RAW)
+            if i_reads & j_writes:
+                kinds.append(DepKind.WAR)
+            if i_writes & j_writes:
+                kinds.append(DepKind.WAW)
+            if later.is_memory and earlier.is_memory:
+                io_pair = _is_io_like(earlier) and _is_io_like(later)
+                either_stores = earlier.is_store or later.is_store
+                if io_pair or (
+                    either_stores and not _addresses_disjoint(earlier, later, base_written)
+                ):
+                    kinds.append(DepKind.MEM)
+            if kinds:
+                succs[i][j] = max(min_distance(earlier, kind) for kind in kinds)
+            if later.is_memory and isinstance(later.addr, Displacement):
+                if later.addr.base in i_writes:
+                    base_written = True
+    heights = [0] * len(pieces)
+    for i in reversed(range(len(pieces))):
+        if succs[i]:
+            heights[i] = max(max(d, 1) + heights[s] for s, d in succs[i].items())
+    return succs, heights
+
+
+def _longest_paths_from(dag, source):
+    """Largest summed distance from ``source`` to every node (-1: none)."""
+    best = [-1] * len(dag.nodes)
+    best[source] = 0
+    for k in range(source, len(dag.nodes)):
+        if best[k] < 0:
+            continue
+        for succ, dist in dag.nodes[k].succs.items():
+            best[succ] = max(best[succ], best[k] + dist)
+    return best
+
+
+class TestDagEquivalence:
+    """The table-driven DAG against the all-pairs reference.
+
+    An edge may be left out only when a path with at least its summed
+    distance implies it; heights must match exactly, and the builder
+    may add no edge the reference lacks (nor a longer one).
+    """
+
+    def test_matches_all_pairs_reference(self, reorg_golden):
+        blocks = 0
+        for name, stream, _entry in reorg_golden.golden_streams():
+            for block in FlowGraph.build(stream).blocks:
+                pieces = block.pieces
+                if not pieces:
+                    continue
+                blocks += 1
+                dag = DependenceDag(pieces)
+                succs, heights = _reference_dag(pieces)
+                where = f"{name} block {block.index}"
+                assert [n.height for n in dag.nodes] == heights, where
+                for node in dag.nodes:
+                    for succ, dist in node.succs.items():
+                        assert dist <= succs[node.index].get(succ, -1), (where, node.index, succ)
+                for i, edges in enumerate(succs):
+                    if not edges:
+                        continue
+                    reach = _longest_paths_from(dag, i)
+                    for succ, dist in edges.items():
+                        assert reach[succ] >= dist, (where, i, succ, dist, reach[succ])
+        assert blocks > 1000
+
 
 class TestBlocks:
     def test_split_on_labels_and_flow(self):
