@@ -16,12 +16,14 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 ## perf-gate: the blocking deterministic gates -- cycle counts, the
-## reorganizer's golden image digests and DAG edge count, the
+## reorganizer's golden image digests and DAG edge count, mapped
+## execution's handler share and translation count, the
 ## dispatch-count throughput floor, and the paper claims
 perf-gate:
 	$(PYTHON) tools/bench_report.py cycles
 	$(PYTHON) tools/reorg_golden.py check
 	$(PYTHON) -m pytest -q benchmarks/test_reorg_scaling.py
+	$(PYTHON) -m pytest -q benchmarks/test_mapped_dispatch.py
 	$(PYTHON) tools/bench_report.py dispatch
 	$(PYTHON) -m repro.perf claims
 

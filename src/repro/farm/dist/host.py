@@ -24,6 +24,7 @@ hung job can then only be *recorded* as timed out, not killed.
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import sys
 import time
@@ -76,9 +77,11 @@ class _PoolWorker:
 
 
 def _worker_entry(conn, close_fds: Tuple[int, ...]) -> None:
-    # forked children inherit the host's listener and session sockets;
-    # close them so a SIGKILLed host produces an immediate EOF at the
-    # coordinator instead of waiting out the heartbeat timeout
+    # forked children inherit the host's listener and session sockets,
+    # and the host's end of every worker pipe; close them so a SIGKILLed
+    # host produces an immediate EOF at the coordinator instead of
+    # waiting out the heartbeat timeout, and at each worker, which then
+    # exits instead of outliving the host
     for fd in close_fds:
         try:
             os.close(fd)
@@ -114,8 +117,9 @@ class ForkPool:
             worker = self._idle.pop()
         else:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+            host_ends = tuple(w.conn.fileno() for w in self._busy) + (parent_conn.fileno(),)
             process = self._ctx.Process(
-                target=_worker_entry, args=(child_conn, self.close_fds), daemon=True
+                target=_worker_entry, args=(child_conn, self.close_fds + host_ends), daemon=True
             )
             process.start()
             child_conn.close()
@@ -375,6 +379,10 @@ class ShardHost:
         return True
 
 
+def _exit_on_signal(signum, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     """``mips-farm host`` / ``python -m repro.farm.dist.host``."""
     import argparse
@@ -386,6 +394,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=max(1, (os.cpu_count() or 1)),
                         help="local forked worker processes (default: cpu count)")
     args = parser.parse_args(argv)
+    # SIGTERM unwinds like Ctrl-C, so the session's pool stops its workers
+    signal.signal(signal.SIGTERM, _exit_on_signal)
     host = ShardHost(port=args.port, bind=args.bind, workers=args.workers)
     print(host.announce(), flush=True)
     try:

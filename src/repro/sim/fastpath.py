@@ -33,13 +33,34 @@ to :meth:`Cpu.step`):
 
 Supported execution contexts: mapping disabled, over a bare
 :class:`~repro.sim.memory.PhysicalMemory` or the physical side of a
-``MappedMemory`` (device-window references bail).  Mapped (user-space)
-execution falls back to the reference stepper word by word.
+``MappedMemory`` (device-window references bail); and mapping enabled
+over a ``MappedMemory`` (user space):
+
+- **Identity by system virtual address.**  A mapped handler is cached
+  under the address :meth:`Cpu.translate` forms (PID folded in), in a
+  context keyed by the surprise bits and the segment mask.  Its code
+  embeds the virtual pc, never a frame.  Each word first passes the
+  segment check and a lookup in the engine's frame table (system page
+  -> frame, kept current by :attr:`PageMap.change_hook`); data
+  references do the same inside the handler.  Either miss bails, so the
+  reference stepper raises the exact ``PageFault``.
+- **Handlers survive remaps.**  A handler remembers the bits it was
+  compiled from.  Mapping its page again compares them with the new
+  frame's contents; a physical write to a mapped frame reaches the page
+  through a frame -> page reverse map.  Only a changed word is dropped.
+- **Exact page-map accounting.**  The flush charges one translation per
+  fetch, load and store, and sets the referenced bit of every page
+  fetched from; handlers set the referenced (and, for stores, dirty)
+  bit of the data page they touch.
+
+Mapped contexts never fuse superblocks.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from types import CodeType, FunctionType
 from typing import Dict, Optional
 
 from ..isa.bits import u32
@@ -68,15 +89,35 @@ from ..isa.pieces import (
 )
 from ..isa.registers import RA, SpecialReg
 
+
 class _Bail(Exception):
-    """Raised by a handler, pre-mutation, to punt to the reference stepper."""
+    """Raised by a handler, pre-mutation, to punt to the reference stepper.
 
+    Handlers raise the class, so each bail gets a fresh instance: one
+    shared instance would grow its ``__traceback__`` by every raise and
+    keep every bailing frame -- and so every engine -- alive.
+    """
 
-#: pre-built instance: raising it skips exception construction
-_BAIL = _Bail("fast path bail")
 
 #: cache marker for words that must always run on the reference stepper
 _FALLBACK = object()
+
+#: the integer literals of generated handler source: pcs, targets,
+#: register numbers, addresses (identifiers such as ``_t3`` and the
+#: fixed ``-1`` sentinel do not match)
+_LITERAL = re.compile(r"(?<![\w.\-])(\d+)")
+
+#: handler source with its literals blanked -> (code, literal slots in
+#: co_consts), or None when the compiler folded a literal away.  Kept
+#: process-wide: a code object holds no engine state (globals are bound
+#: per handler), so each new kernel or machine reuses the shapes
+_SHAPES: Dict[str, Optional[tuple]] = {}
+
+#: shapes kept process-wide; past this, new shapes compile uncached
+_MAX_SHAPES = 4096
+
+#: literal i compiles as _PROBE + i, so its co_consts slot can be found
+_PROBE = 1 << 40
 
 #: ALU ops participating in overflow detection (mirrors alu_overflows)
 _OVF_OPS = (AluOp.ADD, AluOp.SUB, AluOp.RSUB)
@@ -111,7 +152,7 @@ class EngineStats:
     compiles: int = 0        # words compiled into handlers
     fallbacks: int = 0       # words screened out at compile time
     bails: int = 0           # handlers that punted pre-mutation at run time
-    invalidations: int = 0   # compiled words dropped (SMC, DMA, loader pokes)
+    invalidations: int = 0   # compiled words dropped (SMC, DMA, loader pokes, remaps)
     bursts: int = 0          # batched inner-loop entries
     # dispatch accounting (deterministic per workload: burst boundaries,
     # heat accumulation, and block formation are all serial and exact)
@@ -129,14 +170,18 @@ class _Context:
     """Handler and stats-delta caches for one execution context.
 
     The context key is the surprise register's privilege and
-    overflow-enable bits; mapping-enabled contexts are never compiled.
-    Handler caches are keyed by word address.
+    overflow-enable bits.  Unmapped contexts cache handlers by physical
+    word address.  Mapped contexts add the mapping bit and the segment
+    mask (bits 4 and up) to the key, record the process space size in
+    ``space``, and cache handlers by system virtual address.
     """
 
-    __slots__ = ("key", "handlers", "deltas", "blocks", "jit_attempted")
+    __slots__ = ("key", "space", "handlers", "deltas", "blocks", "jit_attempted")
 
-    def __init__(self, key: int):
+    def __init__(self, key: int, space: int = 0):
         self.key = key
+        #: words per process space (mapped contexts only; 0 when unmapped)
+        self.space = space
         self.handlers: Dict[int, object] = {}
         #: address -> (pieces, noops, loads, stores, branches,
         #:             taken_static, mem_used, note)
@@ -180,7 +225,18 @@ class FastPathEngine:
         self._devices = getattr(mem, "devices", None)
         self._supported = physical is not None and hasattr(physical, "_words")
         self._contexts: Dict[int, _Context] = {}
+        #: mapped (user-space) contexts; kept apart because their handler
+        #: tables are keyed by system virtual, not physical, address
+        self._mapped: Dict[int, _Context] = {}
+        #: physical addresses whose write must invalidate: unmapped
+        #: compiled words, plus the frames' words behind live mapped ones
         self._compiled_pcs = set()
+        #: system page -> frame base address, for every in-bounds mapping
+        self._frames: Dict[int, int] = {}
+        #: frame -> the system pages currently mapped to it
+        self._frame_pages: Dict[int, list] = {}
+        #: system page -> {system virtual address: compiled bits}
+        self._mapped_words: Dict[int, Dict[int, int]] = {}
         self._disabled = False
         #: steps completed by the current/last run() call *before* any
         #: exception escaped -- callers use this to account for steps
@@ -206,8 +262,16 @@ class FastPathEngine:
         if self._supported and hasattr(physical, "watch_hook"):
             physical.watch_hook = self._on_external_write
         pagemap = getattr(mem, "pagemap", None)
-        if pagemap is not None and hasattr(pagemap, "change_hook"):
+        #: the page map mapped execution runs through (None: mapping on
+        #: this memory stays with the reference stepper)
+        self._pagemap = None
+        if self._supported and pagemap is not None and hasattr(pagemap, "change_hook"):
+            self._pagemap = pagemap
             pagemap.change_hook = self._on_pagemap_change
+            for page, frame in pagemap.entries.items():
+                self._on_pagemap_change(page, frame)
+        #: the globals all per-word handlers share
+        self._env = self._base_env() if self._supported else None
 
     def enable_jit(self, threshold: Optional[int] = None) -> None:
         """Turn on profile-guided superblock fusion (the second gear).
@@ -229,6 +293,18 @@ class FastPathEngine:
             hget = heat.get
             for wpc, c in profiler.counts.items():
                 heat[wpc] = hget(wpc, 0) + c
+
+    def release(self) -> None:
+        """Drop every compiled handler and fused block; counters stay.
+
+        The engine, its CPU and its handlers reference one another, so
+        a finished kernel's handlers would otherwise live until the next
+        full garbage collection.  Running on afterwards is exact: words
+        simply compile again.
+        """
+        for table in (self._contexts, self._mapped, self._mapped_words, self._block_members):
+            table.clear()
+        self._compiled_pcs.clear()
 
     @property
     def jit_enabled(self) -> bool:
@@ -266,11 +342,13 @@ class FastPathEngine:
         stats = cpu.stats
         surprise = cpu.surprise
         contexts = self._contexts
+        mapped = self._mapped
         estats = self.stats
         burst = self._burst_jit if self._jit else self._burst
         steps = 0
         self.last_run_steps = 0
         supported = self._supported and not self._disabled
+        paged = self._pagemap is not None
         while True:
             self.last_run_steps = steps
             if steps >= max_steps:
@@ -280,19 +358,27 @@ class FastPathEngine:
             sv = surprise.value
             if (
                 supported
-                and not sv & 8  # mapping off: translation is reference territory
                 and not cpu._forced_stream
                 and not (cpu.interrupt_line and sv & 2)
+                and (paged or not sv & 8)
             ):
-                key = sv & 5  # privilege | overflow-enable
-                ctx = contexts.get(key)
-                if ctx is None:
-                    ctx = _Context(key)
-                    contexts[key] = ctx
                 budget = max_steps - steps
                 if cycle_limit is not None:
                     budget = min(budget, cycle_limit - stats.cycles)
-                n = burst(ctx, budget)
+                if sv & 8:
+                    key = (sv & 13) | (cpu.seg_mask << 4)
+                    ctx = mapped.get(key)
+                    if ctx is None:
+                        ctx = _Context(key, 1 << (24 - cpu.seg_mask))
+                        mapped[key] = ctx
+                    n = self._burst_mapped(ctx, budget)
+                else:
+                    key = sv & 5  # privilege | overflow-enable
+                    ctx = contexts.get(key)
+                    if ctx is None:
+                        ctx = _Context(key)
+                        contexts[key] = ctx
+                    n = burst(ctx, budget)
                 steps += n
                 self.last_run_steps = steps
                 if self._disabled:
@@ -301,27 +387,16 @@ class FastPathEngine:
                     break
                 if cycle_limit is not None and stats.cycles >= cycle_limit:
                     break
-                # the word the burst would not touch: a fallback or
-                # bailed word -- exactly one precise step
+                # the word the burst would not touch: a fallback, a
+                # bailed word, or a translation miss -- exactly one
+                # precise step
                 estats.ref_steps += 1
                 cpu.step()
                 steps += 1
-            elif supported and sv & 8:
-                # mapped (user-space) execution: reference-step until the
-                # next surprise transition flips mapping off again; the
-                # stepper itself handles interrupts and forced streams
-                while (
-                    steps < max_steps
-                    and (cycle_limit is None or stats.cycles < cycle_limit)
-                    and surprise.value & 8
-                ):
-                    self.last_run_steps = steps
-                    estats.ref_steps += 1
-                    cpu.step()
-                    steps += 1
             else:
-                # interrupt delivery, a forced return stream, or an
-                # unsupported memory system: one precise step
+                # interrupt delivery, a forced return stream, mapping
+                # without a page map, or an unsupported memory system:
+                # one precise step
                 estats.ref_steps += 1
                 cpu.step()
                 steps += 1
@@ -332,18 +407,19 @@ class FastPathEngine:
     # the burst: sync in, run handlers, flush stats, sync out
     # ------------------------------------------------------------------
 
-    def _burst(self, ctx: _Context, budget: int) -> int:
-        cpu = self.cpu
-        regs = cpu.regs
-        st = self._st
-        self.stats.bursts += 1
+    def _sync_in(self) -> bool:
+        """Load the CPU's pipeline state into ``st``.
 
-        # ---- sync pipeline state into the burst-local form ------------
+        Returns False (and disables the engine) on a state the CPU
+        cannot produce architecturally.
+        """
+        cpu = self.cpu
+        st = self._st
         deferred = cpu._deferred_load
         if deferred:
             if len(deferred) != 1:  # cannot happen architecturally
                 self._disabled = True
-                return 0
+                return False
             (st[0], st[1]), = deferred.items()
         else:
             st[0] = -1
@@ -357,8 +433,81 @@ class FastPathEngine:
                 p2 = target
             else:  # not a state the CPU can produce
                 self._disabled = True
-                return 0
+                return False
         st[2], st[3], st[4] = p1, p2, 0
+        return True
+
+    def _flush(self, ctx: _Context, counts: Dict[int, int]) -> tuple:
+        """Charge a burst's executions to the CPU and memory stats.
+
+        Counts x static deltas; returns ``(words, loads, stores)``.
+        """
+        stats = self.cpu.stats
+        st = self._st
+        if not counts:
+            if st[4]:  # pragma: no cover - taken implies counts
+                stats.branches_taken += st[4]
+            return 0, 0, 0
+        deltas = ctx.deltas
+        words = pieces = noops = loads = stores = 0
+        branches = taken = mem_used = 0
+        for wpc, c in counts.items():
+            d = deltas[wpc]
+            words += c
+            pieces += c * d[0]
+            noops += c * d[1]
+            loads += c * d[2]
+            stores += c * d[3]
+            branches += c * d[4]
+            taken += c * d[5]
+            mem_used += c * d[6]
+            if d[7] is not None:
+                stats.ref_notes[d[7]] += c
+        stats.words += words
+        stats.cycles += words
+        stats.pieces += pieces
+        stats.noops += noops
+        stats.loads += loads
+        stats.stores += stores
+        stats.branches += branches
+        stats.branches_taken += taken + st[4]
+        stats.memory_cycles_used += mem_used
+        stats.free_memory_cycles += words - mem_used
+        mstats = self._phys.stats
+        mstats.fetches += words
+        mstats.reads += loads
+        mstats.writes += stores
+        return words, loads, stores
+
+    def _profile(self, counts: Dict[int, int]) -> None:
+        """Merge per-pc burst counts into the attached profiler, if any."""
+        profiler = self.cpu.profiler
+        if profiler is not None:
+            pcounts = profiler.counts
+            pget = pcounts.get
+            for wpc, c in counts.items():
+                pcounts[wpc] = pget(wpc, 0) + c
+
+    def _sync_out(self, pc: int) -> None:
+        """Write the burst's pc and pipeline state back to the CPU."""
+        cpu = self.cpu
+        st = self._st
+        cpu.pc = pc
+        cpu._deferred_load = {st[0]: st[1]} if st[0] != -1 else {}
+        pending = []
+        if st[2] != -1:
+            pending.append([1, st[2]])
+        if st[3] != -1:
+            pending.append([2, st[3]])
+        cpu._pending_branches = pending
+
+    def _burst(self, ctx: _Context, budget: int) -> int:
+        cpu = self.cpu
+        regs = cpu.regs
+        st = self._st
+        self.stats.bursts += 1
+        if not self._sync_in():
+            return 0
 
         pc = cpu.pc
         n = 0
@@ -386,57 +535,88 @@ class FastPathEngine:
                 pc = npc
                 n += 1
         finally:
-            # ---- flush stats (counts x static deltas) -----------------
             self.stats.word_dispatches += n
-            stats = cpu.stats
-            if counts:
-                deltas = ctx.deltas
-                words = pieces = noops = loads = stores = 0
-                branches = taken = mem_used = 0
-                for wpc, c in counts.items():
-                    d = deltas[wpc]
-                    words += c
-                    pieces += c * d[0]
-                    noops += c * d[1]
-                    loads += c * d[2]
-                    stores += c * d[3]
-                    branches += c * d[4]
-                    taken += c * d[5]
-                    mem_used += c * d[6]
-                    if d[7] is not None:
-                        stats.ref_notes[d[7]] += c
-                stats.words += words
-                stats.cycles += words
-                stats.pieces += pieces
-                stats.noops += noops
-                stats.loads += loads
-                stats.stores += stores
-                stats.branches += branches
-                stats.branches_taken += taken + st[4]
-                stats.memory_cycles_used += mem_used
-                stats.free_memory_cycles += words - mem_used
-                mstats = self._phys.stats
-                mstats.fetches += words
-                mstats.reads += loads
-                mstats.writes += stores
-                profiler = cpu.profiler
-                if profiler is not None:
-                    pcounts = profiler.counts
-                    pget = pcounts.get
-                    for wpc, c in counts.items():
-                        pcounts[wpc] = pget(wpc, 0) + c
-            elif st[4]:  # pragma: no cover - taken implies counts
-                stats.branches_taken += st[4]
+            self._flush(ctx, counts)
+            self._profile(counts)
+            self._sync_out(pc)
+        return n
 
-            # ---- sync pipeline state back to the CPU ------------------
-            cpu.pc = pc
-            cpu._deferred_load = {st[0]: st[1]} if st[0] != -1 else {}
-            pending = []
-            if st[2] != -1:
-                pending.append([1, st[2]])
-            if st[3] != -1:
-                pending.append([2, st[3]])
-            cpu._pending_branches = pending
+    # ------------------------------------------------------------------
+    # the mapped burst: same contract, translation in front of dispatch
+    # ------------------------------------------------------------------
+
+    def _burst_mapped(self, ctx: _Context, budget: int) -> int:
+        """The burst loop for user-space (mapping-enabled) execution.
+
+        It differs from :meth:`_burst` only where translation must sit.
+        Each pc passes the on-chip segment check and the frame-table
+        lookup before dispatch; a miss of either ends the burst, so the
+        reference stepper raises the exact fault.  Handlers are found by
+        system virtual address.  The flush also charges the page map:
+        one translation per fetch, load and store, and the referenced
+        bit of every page fetched from.  Handlers set the bits of the
+        data pages they touch themselves.
+        """
+        cpu = self.cpu
+        regs = cpu.regs
+        st = self._st
+        self.stats.bursts += 1
+        if not self._sync_in():
+            return 0
+
+        # the segment unit's constants for this burst: segpid and the
+        # mask cannot change inside one (writing them is a fallback)
+        space = ctx.space
+        half = space >> 1
+        top = 4294967296 - half
+        base = cpu.seg_pid * space
+        shift = 4294967296 - space - base  # top region: sysva = pc - shift
+        frames = self._frames
+        pc = cpu.pc
+        n = 0
+        counts: Dict[int, int] = {}
+        get_handler = ctx.handlers.get
+        get_count = counts.get
+        try:
+            while n < budget:
+                if pc < half:
+                    s = pc + base
+                elif top <= pc < 4294967296:
+                    s = pc - shift
+                else:
+                    break  # between the regions (segment fault), or past 32 bits
+                if s >> 8 not in frames:
+                    break  # page-map miss (or an out-of-bounds frame)
+                h = get_handler(s)
+                if h is None:
+                    if s in counts:
+                        break  # invalidated mid-burst, as in _burst
+                    h = self._compile(ctx, pc, s)
+                if h is _FALLBACK:
+                    break
+                try:
+                    npc = h(regs, st)
+                except _Bail:
+                    self.stats.bails += 1
+                    break
+                counts[s] = get_count(s, 0) + 1
+                pc = npc
+                n += 1
+        finally:
+            self.stats.word_dispatches += n
+            words, loads, stores = self._flush(ctx, counts)
+            if words:
+                pagemap = self._pagemap
+                pagemap.stats.translations += words + loads + stores
+                referenced = pagemap.referenced
+                for s in counts:
+                    referenced[s >> 8] = True
+                if cpu.profiler is not None:
+                    self._profile({
+                        (s - base if s - base < half else s + shift): c
+                        for s, c in counts.items()
+                    })
+            self._sync_out(pc)
         return n
 
     # ------------------------------------------------------------------
@@ -471,25 +651,8 @@ class FastPathEngine:
         st = self._st
         estats = self.stats
         estats.bursts += 1
-
-        deferred = cpu._deferred_load
-        if deferred:
-            if len(deferred) != 1:  # cannot happen architecturally
-                self._disabled = True
-                return 0
-            (st[0], st[1]), = deferred.items()
-        else:
-            st[0] = -1
-        p1 = p2 = -1
-        for countdown, target in cpu._pending_branches:
-            if countdown == 1:
-                p1 = target
-            elif countdown == 2:
-                p2 = target
-            else:  # not a state the CPU can produce
-                self._disabled = True
-                return 0
-        st[2], st[3], st[4] = p1, p2, 0
+        if not self._sync_in():
+            return 0
 
         pc = cpu.pc
         n = 0
@@ -566,71 +729,24 @@ class FastPathEngine:
                 n += 1
                 pword += 1
         finally:
-            # ---- flush stats (counts x static deltas) -----------------
             estats.word_dispatches += pword
             if bcounts:
                 for blk, executed in bcounts.items():
                     self._expand_block(blk, executed, counts, get_count)
-            stats = cpu.stats
-            if counts:
-                deltas = ctx.deltas
-                words = pieces = noops = loads = stores = 0
-                branches = taken = mem_used = 0
-                for wpc, c in counts.items():
-                    d = deltas[wpc]
-                    words += c
-                    pieces += c * d[0]
-                    noops += c * d[1]
-                    loads += c * d[2]
-                    stores += c * d[3]
-                    branches += c * d[4]
-                    taken += c * d[5]
-                    mem_used += c * d[6]
-                    if d[7] is not None:
-                        stats.ref_notes[d[7]] += c
-                stats.words += words
-                stats.cycles += words
-                stats.pieces += pieces
-                stats.noops += noops
-                stats.loads += loads
-                stats.stores += stores
-                stats.branches += branches
-                stats.branches_taken += taken + st[4]
-                stats.memory_cycles_used += mem_used
-                stats.free_memory_cycles += words - mem_used
-                mstats = self._phys.stats
-                mstats.fetches += words
-                mstats.reads += loads
-                mstats.writes += stores
-                profiler = cpu.profiler
-                if profiler is not None:
-                    pcounts = profiler.counts
-                    pget = pcounts.get
-                    for wpc, c in counts.items():
-                        pcounts[wpc] = pget(wpc, 0) + c
-                # ---- tiering: accumulate heat, fuse fresh hot entries -
-                heat = self._heat
-                hget = heat.get
-                thr = self._jit_threshold
-                btargets = self._branch_targets
-                attempted = ctx.jit_attempted
-                for wpc, c in counts.items():
-                    total = hget(wpc, 0) + c
-                    heat[wpc] = total
-                    if total >= thr and wpc in btargets and wpc not in attempted:
-                        self._build_block(ctx, wpc)
-            elif st[4]:  # pragma: no cover - taken implies counts
-                stats.branches_taken += st[4]
-
-            # ---- sync pipeline state back to the CPU ------------------
-            cpu.pc = pc
-            cpu._deferred_load = {st[0]: st[1]} if st[0] != -1 else {}
-            pending = []
-            if st[2] != -1:
-                pending.append([1, st[2]])
-            if st[3] != -1:
-                pending.append([2, st[3]])
-            cpu._pending_branches = pending
+            self._flush(ctx, counts)
+            self._profile(counts)
+            # ---- tiering: accumulate heat, fuse fresh hot entries -----
+            heat = self._heat
+            hget = heat.get
+            thr = self._jit_threshold
+            btargets = self._branch_targets
+            attempted = ctx.jit_attempted
+            for wpc, c in counts.items():
+                total = hget(wpc, 0) + c
+                heat[wpc] = total
+                if total >= thr and wpc in btargets and wpc not in attempted:
+                    self._build_block(ctx, wpc)
+            self._sync_out(pc)
         return n
 
     def _scan_heat(self, ctx: _Context, counts: Dict[int, int]) -> None:
@@ -680,16 +796,20 @@ class FastPathEngine:
     # ------------------------------------------------------------------
 
     def _invalidate(self, addr: int) -> None:
-        """Drop the compiled handler(s) at ``addr`` in every context.
+        """Drop every handler compiled from the physical word at ``addr``.
 
-        Stats deltas are intentionally left behind: executions counted
-        before the invalidation belong to the old word and must flush
-        against its old delta; a recompile overwrites the entry.
+        That is the unmapped handler at ``addr`` in every context, and
+        the mapped handlers of each system page currently mapped to its
+        frame.  Stats deltas are intentionally left behind: executions
+        counted before the invalidation belong to the old word and must
+        flush against its old delta; a recompile overwrites the entry.
         """
         self.stats.invalidations += 1
         for ctx in self._contexts.values():
             ctx.handlers.pop(addr, None)
         self._compiled_pcs.discard(addr)
+        for page in self._frame_pages.get(addr >> 8, ()):
+            self._drop_mapped((page << 8) | (addr & 255))
         entries = self._block_members.pop(addr, None)
         if entries:
             # a running block observes the epoch move at its next safe
@@ -703,16 +823,25 @@ class FastPathEngine:
                 for member in blk.pcs:
                     bctx.jit_attempted.discard(member)
 
+    def _drop_mapped(self, sva: int) -> None:
+        """Drop the mapped handlers at system virtual address ``sva``."""
+        words = self._mapped_words.get(sva >> 8)
+        if words and sva in words:
+            del words[sva]
+            for ctx in self._mapped.values():
+                ctx.handlers.pop(sva, None)
+
     def _on_external_write(self, addr: int) -> None:
         if addr in self._compiled_pcs:
             self._invalidate(addr)
 
-    def _on_pagemap_change(self) -> None:
-        """Page-map mutation: conservatively drop every fused block.
+    def _on_pagemap_change(self, page: int, frame: Optional[int]) -> None:
+        """Page-map mutation: ``page`` now maps to ``frame`` (None: unmapped).
 
-        Blocks only ever execute with mapping off, but a remap changes
-        what a later mapped fetch may alias, so the cheap safe answer is
-        to fall back to per-address handlers and re-fuse on heat.
+        Updates the frame table and its reverse map.  The page's mapped
+        handlers stay cached across the change; mapping it again keeps
+        each one whose compiled bits match the new frame and drops the
+        rest.  Fused blocks are all dropped, conservatively.
         """
         dropped = 0
         for ctx in self._contexts.values():
@@ -725,62 +854,119 @@ class FastPathEngine:
             self._block_members.clear()
             self._block_epoch[0] += 1
 
+        words = self._mapped_words.get(page, {})
+        old = self._frames.pop(page, None)
+        if old is not None:
+            aliases = self._frame_pages[old >> 8]
+            aliases.remove(page)
+            if not aliases:
+                del self._frame_pages[old >> 8]
+            for sva in words:
+                self._unwatch(old | (sva & 255))
+        if frame is None or (frame + 1) << 8 > self._phys.size:
+            return  # unmapped, or a frame the reference stepper must fault on
+        base = frame << 8
+        self._frames[page] = base
+        self._frame_pages.setdefault(frame, []).append(page)
+        current = self._phys._words
+        for sva, bits in list(words.items()):
+            addr = base | (sva & 255)
+            if current.get(addr, 0) == bits:
+                self._compiled_pcs.add(addr)
+            else:
+                self.stats.invalidations += 1
+                self._drop_mapped(sva)
+
+    def _unwatch(self, addr: int) -> None:
+        """Stop watching ``addr`` for writes unless a live handler needs it."""
+        if addr in self._block_members or any(
+            addr in ctx.handlers for ctx in self._contexts.values()
+        ):
+            return
+        offset = addr & 255
+        for page in self._frame_pages.get(addr >> 8, ()):
+            if (page << 8) | offset in self._mapped_words.get(page, ()):
+                return
+        self._compiled_pcs.discard(addr)
+
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
 
-    def _compile(self, ctx: _Context, pc: int):
-        """Compile the word at ``pc`` for ``ctx``; cache and return it."""
-        handler = self._try_compile(ctx, pc)
+    def _compile(self, ctx: _Context, pc: int, sva: Optional[int] = None):
+        """Compile the word at ``pc`` for ``ctx``; cache and return it.
+
+        Mapped contexts pass the word's system virtual address ``sva``:
+        the handler is cached under it, its bits are read through the
+        frame table, and they are remembered for revalidation on remap.
+        """
+        if sva is None:
+            key = addr = pc
+        else:
+            key = sva
+            addr = self._frames[sva >> 8] | (sva & 255)
+            self._mapped_words.setdefault(sva >> 8, {})[sva] = self._phys._words.get(addr, 0)
+        handler = self._try_compile(ctx, pc, sva)
         if handler is None:
             handler = _FALLBACK
             self.stats.fallbacks += 1
         else:
             self.stats.compiles += 1
-        ctx.handlers[pc] = handler
-        self._compiled_pcs.add(pc)
+        ctx.handlers[key] = handler
+        self._compiled_pcs.add(addr)
         return handler
 
     def _base_env(self) -> Dict[str, object]:
         """The globals every generated handler (word or block) closes over."""
-        return {
-            "_B": _BAIL,
+        env = {
+            "_B": _Bail,
             "MW": self._phys._words,
             "MWG": self._phys._words.get,
             "CPU": self.cpu,
             "OVF": alu_overflows,
             "FPCS": self._compiled_pcs,
             "INVAL": self._invalidate,
+            "FR": self._frames,
+            "OP_ADD": AluOp.ADD,
+            "OP_SUB": AluOp.SUB,
+            "OP_RSUB": AluOp.RSUB,
         }
+        if self._pagemap is not None:
+            env["REF"] = self._pagemap.referenced
+            env["DRT"] = self._pagemap.dirty
+        return env
 
-    def _try_compile(self, ctx: _Context, pc: int):
-        env = self._base_env()
-        ir = self._emit_word(ctx, pc, "", env)
+    def _try_compile(self, ctx: _Context, pc: int, sva: Optional[int] = None):
+        ir = self._emit_word(ctx, pc, "", sva)
         if ir is None:
             return None
         body = ir.body + self._emit_epilogue(ir.flow, pc)
         src = "def _h(regs, st):\n" + "\n".join("    " + line for line in body)
-        exec(src, env)  # noqa: S102 - generating the threaded-code handler
-        ctx.deltas[pc] = ir.delta
-        return env["_h"]
+        ctx.deltas[pc if sva is None else sva] = ir.delta
+        return _make_handler(src, self._env)
 
-    def _emit_word(self, ctx: _Context, pc: int, p: str, env: Dict[str, object]):
-        """Emit the straight-line IR of the word at ``pc`` into ``env``.
+    def _emit_word(self, ctx: _Context, pc: int, p: str, sva: Optional[int] = None):
+        """Emit the straight-line IR of the word at ``pc``.
 
         ``p`` prefixes every generated temporary so several words can be
         fused into one namespace by the superblock builder; the per-word
         handlers use the empty prefix, which reproduces the original
-        generated source byte for byte.  Returns a :class:`_WordIR`
-        (body sans next-PC epilogue) or ``None`` when the word belongs
-        to the reference stepper.
+        generated source byte for byte.  In a mapped context ``pc`` is
+        virtual and ``sva`` its system virtual address, whose page must
+        be in the frame table.  Returns a :class:`_WordIR` (body sans
+        next-PC epilogue) or ``None`` when the word belongs to the
+        reference stepper.
         """
         from .cpu import HazardMode  # local import: cpu.py imports us lazily
 
         cpu = self.cpu
         phys = self._phys
-        if not 0 <= pc < phys.size:
+        if sva is not None:
+            bits = phys._words.get(self._frames[sva >> 8] | (sva & 255), 0)
+        elif not 0 <= pc < phys.size:
             return None  # reference fetch raises the BusError
-        bits = phys._words.get(pc, 0)
+        else:
+            bits = phys._words.get(pc, 0)
         cached = cpu._decode_cache.get(pc)
         if cached is not None and cached[0] == bits:
             word = cached[1]
@@ -831,7 +1017,7 @@ class FastPathEngine:
                 commit.append(f"regs[{piece.dst.number}] = {u32(piece.value)}")
                 continue
             if isinstance(piece, Alu):
-                lines = self._emit_alu(piece, idx, ovf_enabled, env, p)
+                lines = self._emit_alu(piece, idx, ovf_enabled, p)
                 if lines is None:
                     return None
                 pre.extend(lines)
@@ -847,7 +1033,8 @@ class FastPathEngine:
             if isinstance(piece, CompareBranch):
                 if not isinstance(piece.target, int):
                     return None
-                self._branch_targets.add(int(piece.target))
+                if sva is None:
+                    self._branch_targets.add(int(piece.target))
                 cond = _COND_TEMPLATES[piece.cond].format(
                     a=self._operand(piece.s1), b=self._operand(piece.s2)
                 )
@@ -860,7 +1047,8 @@ class FastPathEngine:
             if isinstance(piece, Jump):
                 if not isinstance(piece.target, int) or interlocked:
                     return None
-                self._branch_targets.add(int(piece.target))
+                if sva is None:
+                    self._branch_targets.add(int(piece.target))
                 if piece.link:
                     commit.append(f"regs[{RA.number}] = {pc + 1 + piece.delay_slots}")
                 flow = piece
@@ -880,14 +1068,19 @@ class FastPathEngine:
         # ---- memory reference -----------------------------------------
         mem_lines: list = []
         if mem_piece is not None:
-            ea = self._emit_ea(mem_piece, pre, p)
+            ea = self._emit_ea(mem_piece, pre, p, sva is not None)
             if ea is None:
                 return None
+            if sva is not None:
+                ea = self._emit_translate(ea, pre, p, sva, ctx.space)
+                mem_lines.append(f"REF[_{p}pg] = True")
             note = mem_piece.note
             if isinstance(mem_piece, Load):
                 mem_lines.append(f"_{p}vld = MWG({ea}, 0)")
                 load_dst = mem_piece.dst.number
             else:
+                if sva is not None:
+                    mem_lines.append(f"DRT[_{p}pg] = True")
                 pre.append(f"_{p}vst = regs[{mem_piece.src.number}]")
                 mem_lines.append(f"MW[{ea}] = _{p}vst")
                 mem_lines.append(f"if {ea} in FPCS: INVAL({ea})")
@@ -936,7 +1129,7 @@ class FastPathEngine:
         return f"regs[{op.number}]"
 
     def _emit_alu(
-        self, piece: Alu, idx: int, ovf_enabled: bool, env, p: str = ""
+        self, piece: Alu, idx: int, ovf_enabled: bool, p: str = ""
     ) -> Optional[list]:
         lines = [f"_{p}a{idx} = {self._operand(piece.s1)}"]
         a = f"_{p}a{idx}"
@@ -957,8 +1150,7 @@ class FastPathEngine:
         lines.append(f"_{p}b{idx} = {self._operand(piece.s2)}")
         b = f"_{p}b{idx}"
         if ovf_enabled and op in _OVF_OPS:
-            env[f"_{p}OP{idx}"] = op
-            lines.append(f"if OVF(_{p}OP{idx}, {a}, {b}): raise _B")
+            lines.append(f"if OVF(OP_{op.name}, {a}, {b}): raise _B")
         if op is AluOp.ADD:
             expr = f"({a} + {b}) & 4294967295"
         elif op is AluOp.SUB:
@@ -995,12 +1187,18 @@ class FastPathEngine:
         lines.append(f"_{p}t{idx} = {expr}")
         return lines
 
-    def _emit_ea(self, piece, pre: list, p: str = "") -> Optional[str]:
-        """Emit effective-address computation + bail checks; returns its name."""
+    def _emit_ea(self, piece, pre: list, p: str = "", mapped: bool = False) -> Optional[str]:
+        """Emit effective-address computation + bail checks; returns its name.
+
+        A ``mapped`` address is virtual: it gets no physical checks here,
+        :meth:`_emit_translate` follows.
+        """
         size = self._phys.size
         addr = piece.addr
         ea = f"_{p}ea"
         if isinstance(addr, Absolute):
+            if mapped:
+                return str(u32(addr.addr))
             ea_val = addr.addr
             if not 0 <= ea_val < size:
                 return None  # always a bus error: reference territory
@@ -1023,12 +1221,37 @@ class FastPathEngine:
             pre.append(f"{ea} = regs[{addr.base.number}] >> {addr.shift}")
         else:
             return None
+        if mapped:
+            return ea
         pre.append(f"if {ea} >= {size}: raise _B")
         if self._devices is not None:
             from ..system.devices import DEV_BASE, DEV_WORDS
 
             pre.append(f"if {DEV_BASE} <= {ea} < {DEV_BASE + DEV_WORDS}: raise _B")
         return ea
+
+    @staticmethod
+    def _emit_translate(ea: str, pre: list, p: str, sva: int, space: int) -> str:
+        """Emit the segment check and frame-table lookup of a mapped data
+        reference at virtual ``ea``; returns the physical address's name.
+
+        The handler at ``sva`` only runs while ``segpid`` names its
+        process, so the process base is a constant.  ``_{p}pg`` holds
+        the system page, for the referenced and dirty bits.
+        """
+        half = space >> 1
+        base = sva - sva % space
+        pre.append(f"if {ea} < {half}:")
+        pre.append(f"    _{p}s = {ea} + {base}")
+        pre.append(f"elif {ea} >= {(1 << 32) - half}:")
+        pre.append(f"    _{p}s = {ea} - {(1 << 32) - space - base}")
+        pre.append("else:")
+        pre.append("    raise _B")
+        pre.append(f"_{p}pg = _{p}s >> 8")
+        pre.append(f"_{p}f = FR.get(_{p}pg)")
+        pre.append(f"if _{p}f is None: raise _B")
+        pre.append(f"_{p}pa = _{p}f | (_{p}s & 255)")
+        return f"_{p}pa"
 
     @staticmethod
     def _emit_epilogue(flow, pc: int) -> list:
@@ -1072,3 +1295,44 @@ class FastPathEngine:
             "st[3] = -1",
             f"return _p if _p != -1 else {seq}",
         ]
+
+
+def _make_handler(src: str, env: Dict[str, object]):
+    """The function defined by generated handler source ``src`` over ``env``.
+
+    Handlers differ mostly in their integer literals, and ``compile`` is
+    the largest cost of translation.  So each shape (the source with its
+    literals blanked) is compiled once per process, with a probe value
+    for every literal; an instance copies the shape's code object with
+    its own literals put into those ``co_consts`` slots.  The bytecode
+    is the one ``compile(src)`` produces, up to constant-table indices.
+    """
+    parts = _LITERAL.split(src)
+    key = "#".join(parts[0::2])
+    shape = _SHAPES.get(key, False)
+    if shape is False:
+        shape = _compile_shape(parts)
+        if len(_SHAPES) < _MAX_SHAPES:
+            _SHAPES[key] = shape
+    if shape is None:
+        exec(src, env)  # noqa: S102 - generating the threaded-code handler
+        return env.pop("_h")
+    code, slots = shape
+    consts = list(code.co_consts)
+    for slot, literal in zip(slots, parts[1::2]):
+        consts[slot] = int(literal)
+    return FunctionType(code.replace(co_consts=tuple(consts)), env)
+
+
+def _compile_shape(parts: list) -> Optional[tuple]:
+    """Compile a handler shape; None unless every literal kept its own slot."""
+    probed = list(parts)
+    for i in range(1, len(parts), 2):
+        probed[i] = str(_PROBE + i // 2)
+    module = compile("".join(probed), "<handler>", "exec")
+    code = next(c for c in module.co_consts if isinstance(c, CodeType))
+    try:
+        slots = [code.co_consts.index(_PROBE + i) for i in range(len(parts) // 2)]
+    except ValueError:
+        return None  # two literals folded into one constant
+    return code, slots

@@ -81,14 +81,13 @@ class _Block:
 
 def build_block(engine, ctx, entry: int) -> Optional[_Block]:
     """Discover and fuse the superblock rooted at ``entry``, if any."""
-    env = engine._base_env()
-    members = _discover(engine, ctx, entry, env)
+    members = _discover(engine, ctx, entry)
     if members is None or len(members) < MIN_BLOCK_WORDS:
         return None
-    return _fuse(engine, entry, members, env)
+    return _fuse(engine, entry, members, engine._base_env())
 
 
-def _discover(engine, ctx, entry: int, env) -> Optional[List[Tuple[int, str, object]]]:
+def _discover(engine, ctx, entry: int) -> Optional[List[Tuple[int, str, object]]]:
     """Walk forward from ``entry`` collecting fusable word IRs."""
     page = entry >> PAGE_SHIFT
     targets = engine._branch_targets
@@ -109,7 +108,7 @@ def _discover(engine, ctx, entry: int, env) -> Optional[List[Tuple[int, str, obj
         if not fusable(pc):
             break
         prefix = f"w{len(members)}_"
-        ir = engine._emit_word(ctx, pc, prefix, env)
+        ir = engine._emit_word(ctx, pc, prefix)
         if ir is None:  # pragma: no cover - fusable() already screened
             break
         if isinstance(ir.flow, JumpIndirect):
@@ -122,7 +121,7 @@ def _discover(engine, ctx, entry: int, env) -> Optional[List[Tuple[int, str, obj
             delay = pc + 1
             if len(members) < MAX_BLOCK_WORDS and fusable(delay):
                 dprefix = f"w{len(members)}_"
-                dir_ = engine._emit_word(ctx, delay, dprefix, env)
+                dir_ = engine._emit_word(ctx, delay, dprefix)
                 if dir_ is not None and dir_.flow is None:
                     members.append((delay, dprefix, dir_))
             break

@@ -75,7 +75,9 @@ class PhysicalMemory:
         self.stats = MemoryStats()
         #: optional observer called with the address after any write or
         #: poke -- the fast-path engine uses it to invalidate compiled
-        #: handlers when code is overwritten (DMA, loaders, stores)
+        #: handlers when code is overwritten (DMA, loaders, stores, disk
+        #: page-ins), including mapped handlers whose page is currently
+        #: mapped to the written frame
         self.watch_hook = None
 
     def _check(self, addr: int) -> None:

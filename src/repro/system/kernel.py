@@ -438,13 +438,16 @@ class Kernel:
     def run(self, max_steps: int = 20_000_000, fast: bool = True, jit: bool = False) -> None:
         """Run until every process exits (the kernel halts the machine).
 
-        ``fast=True`` batches kernel-mode execution through the
-        threaded-code engine (:mod:`repro.sim.fastpath`).  The timer
-        stays exact under batching: the engine is bounded by
-        ``cycle_limit`` and fast words are one cycle each, so the
-        interrupt is raised at the same step boundary the per-step loop
-        (retained under ``fast=False``) would have used.  ``jit=True``
-        adds superblock fusion on top; results stay bit-identical.
+        ``fast=True`` batches execution through the threaded-code
+        engine (:mod:`repro.sim.fastpath`): kernel-mode words on
+        handlers per physical address, user-mode (mapped) words on
+        handlers per system virtual address, with exact page-map
+        accounting.  The timer stays exact under batching: the engine is
+        bounded by ``cycle_limit`` and fast words are one cycle each, so
+        the interrupt is raised at the same step boundary the per-step
+        loop (retained under ``fast=False``) would have used.
+        ``jit=True`` adds superblock fusion to kernel-mode code; results
+        stay bit-identical.
         """
         self.run_steps(max_steps, fast=fast, jit=jit)
         if not self.halted:
@@ -493,6 +496,7 @@ class Kernel:
         except MachineHalt:
             if engine is not None:
                 done += engine.last_run_steps
+                engine.release()  # free the handlers with the finished run
             self.halted = True
         finally:
             self.steps_run += done

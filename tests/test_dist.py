@@ -12,7 +12,9 @@ is exercised against a fake clock.
 """
 
 import json
+import os
 import socket
+import sys
 import threading
 import time
 
@@ -382,6 +384,59 @@ class TestDeadHostReclamation:
         assert aggregate(report.records)["digest"] == want
         # the serial tail tags its records with the local pseudo-host
         assert any(r["host"] == "local" for r in report.records)
+
+
+def _children(parents):
+    """Pids of the live processes whose parent is one of ``parents``."""
+    found = set()
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and int(stat[1]) in parents:
+                found.add(int(entry))
+    return found
+
+
+def _proc_stat(pid):
+    """(state, ppid) from /proc/<pid>/stat, or None once the pid is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            text = handle.read()
+    except OSError:
+        return None
+    return text[text.rindex(")") + 2:].split()[:2]
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+class TestHostShutdown:
+    def test_no_worker_outlives_its_host(self):
+        """A SIGKILLed host's workers exit on pipe EOF; a SIGTERMed
+        host stops its pool -- neither leaves orphans behind."""
+        jobs = [spin_job(f"tiny{i}", 1_000 + i) for i in range(8)]
+        workers = set()
+        with LocalShardPool(2, workers_per_host=1) as pool:
+            hosts = {process.pid for process in pool.processes}
+
+            def stop_hosts(done):
+                if done >= 2 and not workers:
+                    workers.update(_children(hosts))
+                    pool.kill(0)
+                    workers.update(_children(hosts))
+                    pool.close()
+
+            fast_dist(
+                pool.specs, heartbeat_s=0.2, heartbeat_timeout_s=2.0, on_progress=stop_hosts
+            ).run_report(jobs)
+        assert workers, "no forked worker was alive to check"
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(_alive(pid) for pid in workers):
+            time.sleep(0.1)
+        assert [pid for pid in workers if _alive(pid)] == []
 
 
 # -- the gateway front ------------------------------------------------------

@@ -147,23 +147,28 @@ def test_self_modifying_code_invalidates_compiled_handlers():
     _assert_identical(fast_m, ref_m)
 
 
-@pytest.mark.parametrize(
-    "quantum,max_frames", ((0, None), (700, None), (500, 8)),
-    ids=("run-to-exit", "preemptive", "paging-pressure"),
-)
-def test_kernel_differential(quantum, max_frames):
-    """Batched Kernel.run is exact: steps, timer quanta, paging, output."""
-    programs = [
-        compile_source(CORPUS[name]).program for name in ("fib_iterative", "calc")
-    ]
+def _kernel_pair(programs, patch=None, **options):
+    """Boot one kernel per engine over ``programs`` and run both to exit.
+
+    ``patch``, when given, is ``(steps, apply)``: both kernels first run
+    ``steps`` words, then ``apply(kernel)`` changes each the same way.
+    """
+    jit = options.pop("jit", False)
     kernels = []
     for fast in (True, False):
-        kernel = Kernel(quantum=quantum, inputs=[5, 6], max_frames=max_frames)
+        kernel = Kernel(inputs=[5, 6], **options)
         for program in programs:
             kernel.add_process(program)
-        kernel.run(fast=fast)
+        if patch is not None:
+            steps, apply = patch
+            kernel.run_steps(steps, fast=fast, jit=jit)
+            apply(kernel)
+        kernel.run(fast=fast, jit=jit)
         kernels.append(kernel)
-    fast_k, ref_k = kernels
+    return kernels
+
+
+def _assert_kernels_identical(fast_k, ref_k):
     assert state_fingerprint(fast_k.cpu) == state_fingerprint(ref_k.cpu)
     assert fast_k.steps_run == ref_k.steps_run
     assert fast_k.physical._words == ref_k.physical._words
@@ -174,6 +179,183 @@ def test_kernel_differential(quantum, max_frames):
         rstats.writes,
         rstats.fetches,
     )
-    for pid in range(len(programs)):
+    # page-map state, insertion order included, and the backing store
+    for field in ("entries", "referenced", "dirty"):
+        fmap, rmap = getattr(fast_k.pagemap, field), getattr(ref_k.pagemap, field)
+        assert list(fmap.items()) == list(rmap.items()), field
+    assert fast_k.disk.pages == ref_k.disk.pages
+    assert (fast_k.disk.copies, fast_k.disk.writebacks) == (
+        ref_k.disk.copies,
+        ref_k.disk.writebacks,
+    )
+    for pid in range(len(fast_k.processes)):
         assert fast_k.output(pid) == ref_k.output(pid)
         assert fast_k.process_state(pid) == ref_k.process_state(pid)
+
+
+@pytest.mark.parametrize(
+    "quantum,max_frames", ((0, None), (700, None), (500, 8)),
+    ids=("run-to-exit", "preemptive", "paging-pressure"),
+)
+def test_kernel_differential(quantum, max_frames):
+    """Batched Kernel.run is exact: steps, timer quanta, paging, output."""
+    programs = [
+        compile_source(CORPUS[name]).program for name in ("fib_iterative", "calc")
+    ]
+    _assert_kernels_identical(
+        *_kernel_pair(programs, quantum=quantum, max_frames=max_frames)
+    )
+
+
+@pytest.mark.parametrize(
+    "mode,jit",
+    ((HazardMode.BARE, False), (HazardMode.CHECKED, False), (HazardMode.BARE, True)),
+    ids=("bare", "checked", "jit"),
+)
+def test_kernel_differential_four_processes(mode, jit):
+    """Four processes, one MiniJava, 3 frames each: user-mode words run
+    on mapped handlers and every page-map side effect stays exact."""
+    from repro.mjlang import compile_minijava
+    from repro.workloads import MINIJAVA_CORPUS
+
+    programs = [
+        compile_source(CORPUS[name]).program for name in ("fib_iterative", "calc", "sieve")
+    ] + [compile_minijava(MINIJAVA_CORPUS["mj_list"]).program]
+    fast_k, ref_k = _kernel_pair(
+        programs, quantum=1000, max_frames=12, hazard_mode=mode, jit=jit
+    )
+    _assert_kernels_identical(fast_k, ref_k)
+    assert ref_k.pagemap.stats.victims_suggested > 0  # the cap evicts
+    engine = fast_k.cpu.fastpath()
+    assert engine.stats.ref_steps / fast_k.cpu.stats.words < 0.1
+    # no code was written, so every eviction and reload kept its handlers
+    assert engine.stats.invalidations == 0
+
+
+#: stores over its own already-executed ``loop`` word and, in pass one,
+#: runs it again at once, while its page is still mapped.  Later passes
+#: first sweep three data pages, so that in two frames the code page is
+#: evicted (dirty, so written back) and demand-loaded again.  The two
+#: words after a process starts or a trap returns come from the stream
+#: ``rfs`` forces (reference steps); nops keep ``loop`` and the store
+#: out of it, so both run on the fast path.
+KERNEL_SELF_MODIFY_SOURCE = """
+        start:  mov #0, r5
+                nop
+                nop
+        loop:   mov #1, r1      ; overwritten with `movi #2,r1` in pass one
+                trap #1
+                nop
+                nop
+                ld @patch, r2
+                nop
+                st r2, @loop
+                add r5, #1, r5
+                beq r5, #1, loop
+                nop
+                lim 256, r3
+                st r5, 0(r3)
+                lim 512, r3
+                st r5, 0(r3)
+                lim 768, r3
+                st r5, 0(r3)
+                blo r5, #3, loop
+                nop
+                trap #0
+        patch:  .word {patched}
+"""
+
+
+def test_kernel_self_modifying_code_across_eviction():
+    """A user store over its own executed code takes effect, and stays
+    in effect after the page is evicted and reloaded."""
+    from repro.asm.assembler import assemble
+
+    patched = encode(InstructionWord.single(MovImm(2, Reg(1))))
+    program = assemble(KERNEL_SELF_MODIFY_SOURCE.format(patched=patched))
+    fast_k, ref_k = _kernel_pair([program], quantum=0, max_frames=2)
+    _assert_kernels_identical(fast_k, ref_k)
+    assert fast_k.output(0) == [1, 2, 2]
+    assert ref_k.disk.writebacks > 0
+    assert ref_k.disk.copies > 4  # more loads than the four pages touched
+
+
+#: prints 1 three times, spinning between the prints (the nops as above)
+KERNEL_SPIN_SOURCE = """
+        start:  mov #0, r5
+                nop
+                nop
+        loop:   mov #1, r1
+                trap #1
+                lim 2000, r6
+        spin:   sub r6, #1, r6
+                bne r6, #0, spin
+                nop
+                add r5, #1, r5
+                blo r5, #3, loop
+                nop
+                trap #0
+"""
+
+
+def test_remap_revalidates_changed_code():
+    """Code changed while its page is unmapped is not served stale.
+
+    Mid-run, both kernels unmap the code page, rewrite the already
+    executed ``loop`` word in its frame, and map the page back.  The
+    fast path keeps handlers across remaps, so only the comparison of
+    compiled bits with the frame's contents can catch the change.
+    """
+    from repro.asm.assembler import assemble
+    from repro.system.mapping import PAGE_SHIFT
+
+    program = assemble(KERNEL_SPIN_SOURCE)
+    loop = program.symbol("loop")
+    patched = encode(InstructionWord.single(MovImm(2, Reg(1))))
+
+    def rewrite(kernel):
+        assert kernel.output(0) == [1]
+        page = loop >> PAGE_SHIFT  # process 0: system and virtual pages agree
+        frame = kernel.pagemap.entries[page]
+        kernel.pagemap.unmap_page(page)
+        kernel.physical.poke((frame << PAGE_SHIFT) + loop, patched)
+        kernel.pagemap.map_page(page, frame)
+
+    fast_k, ref_k = _kernel_pair([program], patch=(3000, rewrite), quantum=0)
+    _assert_kernels_identical(fast_k, ref_k)
+    assert fast_k.output(0) == [1, 2, 2]
+
+
+def test_shared_handler_shapes_compile_like_their_source(monkeypatch):
+    """A handler built from a shared shape runs the bytecode its own
+    source compiles to (constants compared by value and type)."""
+    import dis
+    import types
+
+    from repro.sim import fastpath
+
+    built = []
+    make = fastpath._make_handler
+
+    def record(src, env):
+        handler = make(src, env)
+        built.append((src, handler))
+        return handler
+
+    def listing(code):
+        return [
+            (ins.opname, type(ins.argval).__name__, ins.argval)
+            for ins in dis.get_instructions(code)
+        ]
+
+    monkeypatch.setattr(fastpath, "_make_handler", record)
+    programs = [compile_source(CORPUS[name]).program for name in ("calc", "strings")]
+    _kernel_pair(programs, quantum=700, max_frames=8)
+    for mode in MODES:
+        opt = OptLevel.NONE if mode is HazardMode.INTERLOCKED else OptLevel.BRANCH_DELAY
+        _run_pair(compile_source(CORPUS["sort"], opt_level=opt).program, mode)
+    assert len(built) > 1000
+    for src, handler in built:
+        module = compile(src, "<handler>", "exec")
+        direct = next(c for c in module.co_consts if isinstance(c, types.CodeType))
+        assert listing(handler.__code__) == listing(direct), src
