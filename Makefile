@@ -3,11 +3,11 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test perf-gate jit-differential claims bench
+.PHONY: check lint test perf-gate engine-differential claims bench
 
 ## check: everything a push must survive -- lint + tier-1 tests + perf
-## gate (cycles + dispatch floor) + the three-tier jit differential
-check: lint test perf-gate jit-differential
+## gate (cycles + dispatch floor) + the precise-vs-fast differential
+check: lint test perf-gate engine-differential
 
 lint:
 	ruff check .
@@ -27,14 +27,13 @@ perf-gate:
 	$(PYTHON) tools/bench_report.py dispatch
 	$(PYTHON) -m repro.perf claims
 
-## jit-differential: corpus profiles byte-identical across all tiers,
-## chaos green on every engine, and the hot-loop speedup floor
-jit-differential:
+## engine-differential: corpus profiles byte-identical on the precise
+## and fast engines, and chaos green on both
+engine-differential:
+	$(PYTHON) -m repro.perf corpus --engine precise > /tmp/profiles-precise.jsonl
 	$(PYTHON) -m repro.perf corpus --engine fast > /tmp/profiles-fast.jsonl
-	$(PYTHON) -m repro.perf corpus --engine jit > /tmp/profiles-jit.jsonl
-	cmp /tmp/profiles-fast.jsonl /tmp/profiles-jit.jsonl
-	$(PYTHON) -m repro.chaos run --seed 7 --engine all
-	$(PYTHON) -m pytest -q benchmarks/test_jit_speedup.py
+	cmp /tmp/profiles-precise.jsonl /tmp/profiles-fast.jsonl
+	$(PYTHON) -m repro.chaos run --seed 7 --engine both
 
 claims:
 	$(PYTHON) -m repro.perf claims

@@ -32,18 +32,6 @@ def test_simulator_throughput_reference(benchmark):
     assert stats.words > 10_000
 
 
-def test_simulator_throughput_jit(benchmark):
-    """The superblock JIT tier on the same workload, for tracking."""
-    compiled = compile_source(CORPUS["sort"])
-
-    def run():
-        machine = Machine(compiled.program)
-        return machine.run(10_000_000, jit=True)
-
-    stats = benchmark(run)
-    assert stats.words > 10_000
-
-
 def test_compiler_throughput(benchmark):
     source = puzzle_source(0)
 

@@ -29,6 +29,7 @@ import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..farm.worker import _json_safe, fingerprint_digest
+from ..sim.machine import ENGINES, engine_is_fast
 from .engine import ChaosRun, _collect_outputs, run_plan
 from .invariants import check_panic_record
 from .plan import ChaosPlan, injection, make_plan, plan_rng
@@ -349,8 +350,10 @@ def run_campaign_plan(
 
     The summary is pure data with no volatile fields: the same campaign,
     seed, and engine set produce a byte-identical summary (and digest)
-    on every run.
+    on every run.  An engine name outside :data:`repro.sim.ENGINES`
+    raises ``ValueError``.
     """
+    fast_flags = {name: engine_is_fast(name) for name in engines}
     if baseline is None:
         baseline = _baseline(campaign)
     runs: Dict[str, ChaosRun] = {}
@@ -359,8 +362,7 @@ def run_campaign_plan(
         runs[engine_name] = run_plan(
             target,
             plan,
-            fast=(engine_name != "precise"),
-            jit=(engine_name == "jit"),
+            fast=fast_flags[engine_name],
             max_steps=campaign.max_steps,
         )
     violations: List[Dict[str, Any]] = []
@@ -422,7 +424,7 @@ def run_campaign_plan(
                             "engine": engine_name,
                         }
                     )
-    ordered = [name for name in ("fast", "precise", "jit") if name in runs]
+    ordered = [name for name in ENGINES if name in runs]
     for i, left_name in enumerate(ordered):
         for right_name in ordered[i + 1:]:
             left, right = runs[left_name], runs[right_name]

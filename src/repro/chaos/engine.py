@@ -55,13 +55,13 @@ def _collect_outputs(target) -> Dict[str, List[int]]:
     return {"0": list(target.output)}
 
 
-def _drive_to(target, boundary: int, fast: bool, jit: bool = False) -> None:
+def _drive_to(target, boundary: int, fast: bool) -> None:
     cpu = target.cpu
     while not target.halted and cpu.stats.words < boundary:
-        target.run_steps(boundary - cpu.stats.words, fast=fast, jit=jit)
+        target.run_steps(boundary - cpu.stats.words, fast=fast)
 
 
-def _walk_until(target, fast: bool, predicate, jit: bool = False) -> bool:
+def _walk_until(target, fast: bool, predicate) -> bool:
     """Single-step until ``predicate(cpu)``; False if the window closed."""
     cpu = target.cpu
     for _ in range(WALK_LIMIT):
@@ -69,7 +69,7 @@ def _walk_until(target, fast: bool, predicate, jit: bool = False) -> bool:
             return True
         if target.halted:
             return False
-        target.run_steps(1, fast=fast, jit=jit)
+        target.run_steps(1, fast=fast)
     return False
 
 
@@ -78,15 +78,12 @@ def run_plan(
     plan: ChaosPlan,
     *,
     fast: bool = True,
-    jit: bool = False,
     max_steps: int = 2_000_000,
 ) -> ChaosRun:
     """Execute ``target`` under ``plan``; returns the full run record.
 
     ``target`` must be freshly constructed (the plan's step numbers are
-    absolute word counts from reset).  ``jit=True`` layers superblock
-    fusion on the fast path; every record stays bit-identical, which the
-    jit-differential campaigns assert.
+    absolute word counts from reset).
     """
     cpu = target.cpu
     checker = RecoveryContractChecker()
@@ -98,7 +95,7 @@ def run_plan(
     fault_info: Optional[Dict[str, Any]] = None
     try:
         for index, inj in enumerate(plan.injections):
-            _drive_to(target, min(inj.step, max_steps), fast, jit)
+            _drive_to(target, min(inj.step, max_steps), fast)
             record = {
                 "index": index,
                 "step": inj.step,
@@ -110,7 +107,7 @@ def run_plan(
                 records.append(record)
                 continue
             try:
-                record["detail"] = _apply(target, plan, index, inj, fast, victims, jit)
+                record["detail"] = _apply(target, plan, index, inj, fast, victims)
                 record["outcome"] = "applied"
             except KernelPanic as exc:
                 record["detail"] = {"panic": exc.record()}
@@ -120,7 +117,7 @@ def run_plan(
             record["applied_at"] = cpu.stats.words
             record["digest"] = fingerprint_digest(cpu)
             records.append(record)
-        _drive_to(target, max_steps, fast, jit)
+        _drive_to(target, max_steps, fast)
         if not target.halted:
             outcome = "step-budget"
     except KernelPanic as exc:
@@ -159,7 +156,7 @@ def run_plan(
 # ---------------------------------------------------------------------------
 
 
-def _apply(target, plan, index: int, inj: Injection, fast: bool, victims: List[int], jit: bool = False):
+def _apply(target, plan, index: int, inj: Injection, fast: bool, victims: List[int]):
     cpu = target.cpu
     rng = apply_rng(plan.seed, index)
     kind = inj.kind
@@ -212,7 +209,7 @@ def _apply(target, plan, index: int, inj: Injection, fast: bool, victims: List[i
 
     if kind == "refault":
         # deliver at a recoverable boundary: outside any handler window
-        if not _walk_until(target, fast, lambda c: not c.in_exception, jit):
+        if not _walk_until(target, fast, lambda c: not c.in_exception):
             return {"skipped": "no recoverable boundary before halt"}
         victim = _current_pid(target)
         if victim is not None:
@@ -222,7 +219,7 @@ def _apply(target, plan, index: int, inj: Injection, fast: bool, victims: List[i
 
     if kind == "kernel-refault":
         # deliver *inside* the exception path: this is the double fault
-        if not _walk_until(target, fast, lambda c: c.in_exception, jit):
+        if not _walk_until(target, fast, lambda c: c.in_exception):
             return {"skipped": "no handler window before halt"}
         cpu._take_fault(OverflowTrap("chaos: injected fault in handler"))
         raise AssertionError("double fault did not panic")  # pragma: no cover

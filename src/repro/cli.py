@@ -113,12 +113,6 @@ def sim_main(argv=None) -> int:
     )
     parser.add_argument("--input", type=int, action="append", default=[])
     parser.add_argument(
-        "--jit",
-        action="store_true",
-        help="enable profile-guided superblock fusion on the fast path "
-        "(behaviour and output are bit-identical; hot loops run faster)",
-    )
-    parser.add_argument(
         "--lang",
         default="asm",
         help="source language: asm (default), pascal, or minijava "
@@ -146,7 +140,7 @@ def sim_main(argv=None) -> int:
         inputs=args.input,
     )
     try:
-        stats = machine.run(args.max_steps, jit=args.jit)
+        stats = machine.run(args.max_steps)
     except (MachineFault, KernelPanic) as exc:
         return _report_guest_failure(machine, exc)
     except TimeoutError:
@@ -328,13 +322,14 @@ def _add_batch_options(parser) -> None:
         help="compile without register allocation (era-compiler mode)",
     )
     parser.add_argument("--max-steps", type=int, default=30_000_000)
+    from .sim.machine import ENGINES
+
     parser.add_argument(
         "--sim-engine",
-        choices=["fast", "jit", "precise"],
+        choices=ENGINES,
         default="fast",
         dest="sim_engine",
-        help="simulation engine for workload jobs (results are identical; "
-        "'jit' is fastest on loop-heavy workloads)",
+        help="simulation engine for workload jobs (results are identical)",
     )
 
 
@@ -598,13 +593,14 @@ def chaos_main(argv=None) -> int:
         metavar="NAME",
         help="campaign to run (repeatable; default: all shipped campaigns)",
     )
+    from .sim.machine import ENGINES
+
     run_p.add_argument(
         "--engine",
-        choices=["fast", "precise", "jit", "both", "all"],
+        choices=ENGINES + ("both",),
         default="both",
-        help="execution engine(s); 'both' runs fast+precise, 'all' adds the "
-        "superblock JIT tier -- multi-engine runs check the full pairwise "
-        "differential",
+        help="execution engine(s); 'both' runs fast and precise and checks "
+        "the two runs against each other",
     )
     run_p.add_argument(
         "--results", metavar="FILE", help="stream result records to a JSON-lines file"
@@ -632,10 +628,7 @@ def chaos_main(argv=None) -> int:
         parser.error(
             f"unknown campaigns: {', '.join(unknown)} (have: {', '.join(sorted(CAMPAIGNS))})"
         )
-    engines = {
-        "both": ("fast", "precise"),
-        "all": ("fast", "precise", "jit"),
-    }.get(args.engine, (args.engine,))
+    engines = ENGINES if args.engine == "both" else (args.engine,)
 
     store = ResultStore(args.results) if args.results else None
     failed = 0
@@ -866,12 +859,13 @@ def prof_main(argv=None) -> int:
         default="text",
         help="text report, canonical JSON, or flamegraph-collapsed stacks",
     )
+    from .sim.machine import ENGINES
+
     run_p.add_argument(
         "--engine",
-        choices=["fast", "precise", "jit"],
+        choices=ENGINES,
         default="fast",
-        help="execution engine (output is identical whichever runs; with "
-        "'jit', hot entries additionally report their compilation tier)",
+        help="execution engine (output is identical whichever runs)",
     )
     run_p.add_argument("--mode", choices=["bare", "checked", "interlocked"], default="bare")
     run_p.add_argument("--max-steps", type=int, default=30_000_000)
@@ -887,7 +881,7 @@ def prof_main(argv=None) -> int:
     )
     corpus_p.add_argument(
         "--engine",
-        choices=["fast", "precise", "jit"],
+        choices=ENGINES,
         default="fast",
         help="execution engine for every corpus job (profiles are identical "
         "whichever runs -- CI diffs them to prove it)",
@@ -944,7 +938,7 @@ def _prof_run(args) -> int:
     import os
 
     from .perf import Profiler, build_profile, render_collapsed, render_json, render_text
-    from .sim import HazardMode, KernelPanic, Machine, MachineFault
+    from .sim import HazardMode, KernelPanic, Machine, MachineFault, engine_is_fast
 
     if os.path.exists(args.target):
         from .asm import assemble
@@ -975,11 +969,7 @@ def _prof_run(args) -> int:
     machine = Machine(program, hazard_mode=HazardMode(args.mode), inputs=args.input)
     Profiler().attach(machine.cpu)
     try:
-        machine.run(
-            args.max_steps,
-            fast=(args.engine != "precise"),
-            jit=(args.engine == "jit"),
-        )
+        machine.run(args.max_steps, fast=engine_is_fast(args.engine))
     except (MachineFault, KernelPanic) as exc:
         return _report_guest_failure(machine, exc)
     except TimeoutError:
@@ -988,9 +978,7 @@ def _prof_run(args) -> int:
             file=sys.stderr,
         )
         return EXIT_STEP_BUDGET
-    profile = build_profile(
-        machine.cpu, program, top=args.top, name=name, tiers=(args.engine == "jit")
-    )
+    profile = build_profile(machine.cpu, program, top=args.top, name=name)
     if args.format == "json":
         print(render_json(profile))
     elif args.format == "collapsed":

@@ -156,7 +156,8 @@ def workload_jobs(
 ) -> Tuple[Job, ...]:
     """One simulation job per named corpus workload.
 
-    ``engine`` selects the simulation tier ("fast", "jit", "precise");
+    ``engine`` selects the simulation engine (one of
+    :data:`repro.sim.ENGINES`, "fast" or "precise");
     ``engine_stats=True`` records the fast-path dispatch counters in
     the result's extras (deterministic -- the CI dispatch gate keys on
     them).

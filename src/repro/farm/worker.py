@@ -110,24 +110,16 @@ def _error_info(exc: BaseException) -> Dict[str, Any]:
     return info
 
 
-#: engine names a job spec may select (default "fast"; "jit" layers
-#: superblock fusion on the fast path, "precise" is the per-step loop)
-ENGINES = ("fast", "jit", "precise")
-
-
-def _engine_args(engine: str) -> Dict[str, bool]:
-    """Map an engine name onto Machine.run keyword arguments."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (have {', '.join(ENGINES)})")
-    return {"fast": engine != "precise", "jit": engine == "jit"}
-
-
 def _run_machine(record: Dict[str, Any], machine, max_steps: int, engine: str = "fast") -> None:
-    """Run a loaded machine, folding faults into the record."""
+    """Run a loaded machine, folding faults into the record.
+
+    ``engine`` is one of :data:`repro.sim.ENGINES`; any other name raises.
+    """
     from ..sim.faults import MachineFault
+    from ..sim.machine import engine_is_fast
 
     try:
-        machine.run(max_steps, **_engine_args(engine))
+        machine.run(max_steps, fast=engine_is_fast(engine))
     except TimeoutError as exc:
         record["status"] = STATUS_TIMEOUT
         record["error"] = _error_info(exc)
@@ -207,8 +199,8 @@ def _export_profile(record: Dict[str, Any], job: Mapping[str, Any], machine, pro
 def _export_engine_stats(record: Dict[str, Any], job: Mapping[str, Any], machine) -> None:
     """Record the fast-path engine's dispatch counters when asked.
 
-    Dispatch accounting (handler dispatches, block entries, reference
-    steps) is deterministic per workload, which is what lets CI gate on
+    Dispatch accounting (handler dispatches, reference steps) is
+    deterministic per workload, which is what lets CI gate on
     it machine-independently; wall-clock noise never enters.
     """
     spec = job.get("spec", {})

@@ -1,8 +1,8 @@
 """The differential oracle: one case, every engine pair we have.
 
 For a mini-Pascal case the oracle compiles the source at **every
-optimization level** and runs each image on all three engines
-(reference stepper, threaded fast path, superblock JIT), demanding
+optimization level** and runs each image on both engines (reference
+stepper and threaded fast path), demanding
 bit-identical observations -- status, state fingerprint, full counter
 set, integer output, character output -- per level; across levels it
 demands identical program *output* (counters legitimately differ when
@@ -15,7 +15,7 @@ on both fast and precise engines with the
 digests must agree and the recovery contract must hold.
 
 For an instruction-stream case the oracle assembles the source once
-and runs the three engines.  Guest faults and step-budget timeouts are
+and runs both engines.  Guest faults and step-budget timeouts are
 *contract outcomes* -- legal, but only if every engine reports exactly
 the same one; any exception outside that contract is a failure on the
 spot.
@@ -33,10 +33,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..farm.worker import _error_info, _stats_dict, fingerprint_digest
+from ..sim.machine import ENGINES as SIM_ENGINES
 
 #: optimization levels every AST case is compiled at
 OPT_LEVELS = ("none", "reorganize", "pack", "branch-delay")
-ENGINES = ("precise", "fast", "jit")
+#: every engine, the reference stepper first: the others are compared to it
+ENGINES = ("precise",) + tuple(e for e in SIM_ENGINES if e != "precise")
 #: 1-in-N cases also run the chaos fault schedule
 CHAOS_SAMPLE = 8
 #: step ceiling for fault-injected runs: an injection that knocks a
@@ -94,7 +96,7 @@ def _observe(program, engine: str, max_steps: int, source: str) -> Dict[str, Any
     machine = Machine(program)
     status, error = "ok", None
     try:
-        machine.run(max_steps, fast=engine != "precise", jit=engine == "jit")
+        machine.run(max_steps, fast=engine != "precise")
     except TimeoutError as exc:
         status, error = "timeout", _error_info(exc)
     except MachineFault as exc:
@@ -279,7 +281,7 @@ def check_minijava_source(
     """The oracle for one MiniJava source text.
 
     Same contract as :func:`check_ast_source` -- every optimization
-    level, all three engines, bit-identical observations per level and
+    level, both engines, bit-identical observations per level and
     identical output across levels, plus the sampled chaos schedule.
     The CC-baseline leg is skipped: the CC machine compiles only
     mini-Pascal, so there is no ground-truth CC image to compare.

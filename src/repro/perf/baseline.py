@@ -97,8 +97,8 @@ def collect_cycles(
 
 
 #: the dispatch-floor counters (machine-independent throughput proxy):
-#: ``dispatches`` is every per-word handler entry plus every fused-block
-#: entry plus every reference-stepper delegation -- the number of times
+#: ``dispatches`` is every per-word handler entry plus every
+#: reference-stepper delegation -- the number of times
 #: the engine paid a dispatch, which wall-clock throughput tracks but
 #: which, unlike wall clock, is exactly reproducible anywhere
 DISPATCH_COUNTERS = (
@@ -114,12 +114,11 @@ def collect_dispatch(
     cache=None,
     hosts: Optional[Sequence[str]] = None,
 ) -> Dict[str, Dict[str, int]]:
-    """Per-workload dispatch counts under the JIT engine, via the farm.
+    """Per-workload dispatch counts under the fast engine, via the farm.
 
-    Runs every workload with ``engine="jit"`` and the engine-stats
-    export on; burst boundaries, heat accumulation, and block formation
-    are all serial and exact, so the counts are bit-identical on any
-    machine -- which is what lets CI gate throughput without touching a
+    Runs every workload with ``engine="fast"`` and the engine-stats
+    export on; burst boundaries are serial and exact, so the counts are
+    bit-identical on any machine -- which is what lets CI gate throughput without touching a
     clock.  ``cache`` serves repeat collections from the persistent
     result cache (the engine-stats live in the cached record's extras).
     ``hosts`` runs the collection on the distributed farm, identically.
@@ -127,7 +126,7 @@ def collect_dispatch(
     from ..farm.job import workload_jobs
 
     records = _gate_scheduler(jobs, store, cache, hosts).run(
-        workload_jobs(list(names), engine="jit", engine_stats=True)
+        workload_jobs(list(names), engine="fast", engine_stats=True)
     )
     out: Dict[str, Dict[str, int]] = {}
     for record in records:
@@ -139,7 +138,6 @@ def collect_dispatch(
         engine_stats = record["extra"].get("engine_stats") or {}
         dispatches = (
             int(engine_stats.get("word_dispatches", 0))
-            + int(engine_stats.get("block_entries", 0))
             + int(engine_stats.get("ref_steps", 0))
         )
         out[record["name"]] = {

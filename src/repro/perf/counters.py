@@ -323,17 +323,11 @@ def collect(
         "fastpath_bails": engine.stats.bails if engine else 0,
         "fastpath_invalidations": engine.stats.invalidations if engine else 0,
         "fastpath_bursts": engine.stats.bursts if engine else 0,
-        # dispatch accounting and the superblock (JIT) tier; the whole
-        # group stays volatile because the reference stepper has no
-        # analogue, but each counter is deterministic per workload --
-        # the CI dispatch-floor gate keys on them
+        # dispatch accounting; the whole group stays volatile because
+        # the reference stepper has no analogue, but each counter is
+        # deterministic per workload -- the CI dispatch gate keys on them
         "word_dispatches": engine.stats.word_dispatches if engine else 0,
         "ref_steps": engine.stats.ref_steps if engine else 0,
-        "block_compiles": engine.stats.block_compiles if engine else 0,
-        "block_entries": engine.stats.block_entries if engine else 0,
-        "block_bails": engine.stats.block_bails if engine else 0,
-        "block_invalidations": engine.stats.block_invalidations if engine else 0,
-        "fused_words": engine.stats.fused_words if engine else 0,
     }
     return groups
 

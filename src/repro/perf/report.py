@@ -53,27 +53,16 @@ def build_profile(
     name: Optional[str] = None,
     pagemap=None,
     dma=None,
-    tiers: bool = False,
 ) -> Dict[str, object]:
-    """Assemble the deterministic profile dict for a finished run.
-
-    ``tiers=True`` annotates each hot entry with the JIT tier serving
-    its PC (interpreted / threaded / fused).  It is an explicit opt-in
-    (``mips-prof run`` under the jit engine) and never set on
-    farm-exported profiles, because the tier is an engine detail: the
-    rest of the profile is byte-identical across all three engines and
-    the cross-engine differential suite diffs it to prove that.
-    """
+    """Assemble the deterministic profile dict for a finished run."""
     profiler = cpu.profiler
     if profiler is None:
         raise ValueError("no profiler attached; call Profiler().attach(cpu) before running")
     table = _symbol_table(program)
     total = profiler.total_cycles
-    engine = getattr(cpu, "_fastpath", None)
-    jit_on = tiers and engine is not None and getattr(engine, "jit_enabled", False)
     hot = []
     for pc, cycles in profiler.hot_pcs(top):
-        entry = {
+        hot.append({
             "pc": pc,
             "label": label_for(pc, table),
             "cycles": cycles,
@@ -81,10 +70,7 @@ def build_profile(
             "stall_cycles": profiler.stall_cycles.get(pc, 0),
             "flush_cycles": profiler.flush_cycles.get(pc, 0),
             "pct": round(100.0 * cycles / total, 2) if total else 0.0,
-        }
-        if jit_on:
-            entry["tier"] = engine.tier(pc)
-        hot.append(entry)
+        })
     profile: Dict[str, object] = {
         "version": PROFILE_VERSION,
         "total_cycles": total,
@@ -131,14 +117,11 @@ def render_text(profile: Dict[str, object]) -> str:
         )
     )
     out.append("")
-    tiered = any("tier" in entry for entry in profile["hot"])
-    tier_head = f" {'TIER':<11}" if tiered else ""
-    out.append(f"{'CYCLES':>10} {'%':>6} {'COUNT':>10} {'PC':>8} {tier_head} LOCATION")
+    out.append(f"{'CYCLES':>10} {'%':>6} {'COUNT':>10} {'PC':>8}  LOCATION")
     for entry in profile["hot"]:
-        tier_col = f" {entry.get('tier', ''):<11}" if tiered else ""
         out.append(
             f"{entry['cycles']:>10} {entry['pct']:>6.2f} {entry['count']:>10} "
-            f"{entry['pc']:>#8x} {tier_col} {entry['label']}"
+            f"{entry['pc']:>#8x}  {entry['label']}"
         )
     events = profile["events"]
     if events:

@@ -17,11 +17,13 @@ from .faults import (
     TrapInstruction,
 )
 from .machine import (
+    ENGINES,
     TRAP_HALT,
     TRAP_READ_INT,
     TRAP_WRITE_CHAR,
     TRAP_WRITE_INT,
     Machine,
+    engine_is_fast,
     run_source,
 )
 from .memory import MemoryStats, MemorySystem, PhysicalMemory
@@ -32,6 +34,7 @@ __all__ = [
     "BusError",
     "Cpu",
     "CpuStats",
+    "ENGINES",
     "ExceptionCause",
     "FastPathEngine",
     "Halted",
@@ -55,6 +58,7 @@ __all__ = [
     "TRAP_WRITE_CHAR",
     "TRAP_WRITE_INT",
     "TrapInstruction",
+    "engine_is_fast",
     "format_trace",
     "run_source",
     "state_fingerprint",

@@ -53,14 +53,13 @@ over a ``MappedMemory`` (user space):
   fetched from; handlers set the referenced (and, for stores, dirty)
   bit of the data page they touch.
 
-Mapped contexts never fuse superblocks.
+Each handler is generated as Python source; ``_make_handler`` turns it
+into a function, compiling every source shape once per process.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from types import CodeType, FunctionType
 from typing import Dict, Optional
 
 from ..isa.bits import u32
@@ -88,6 +87,7 @@ from ..isa.pieces import (
     WriteSpecial,
 )
 from ..isa.registers import RA, SpecialReg
+from .jit import _make_handler
 
 
 class _Bail(Exception):
@@ -101,23 +101,6 @@ class _Bail(Exception):
 
 #: cache marker for words that must always run on the reference stepper
 _FALLBACK = object()
-
-#: the integer literals of generated handler source: pcs, targets,
-#: register numbers, addresses (identifiers such as ``_t3`` and the
-#: fixed ``-1`` sentinel do not match)
-_LITERAL = re.compile(r"(?<![\w.\-])(\d+)")
-
-#: handler source with its literals blanked -> (code, literal slots in
-#: co_consts), or None when the compiler folded a literal away.  Kept
-#: process-wide: a code object holds no engine state (globals are bound
-#: per handler), so each new kernel or machine reuses the shapes
-_SHAPES: Dict[str, Optional[tuple]] = {}
-
-#: shapes kept process-wide; past this, new shapes compile uncached
-_MAX_SHAPES = 4096
-
-#: literal i compiles as _PROBE + i, so its co_consts slot can be found
-_PROBE = 1 << 40
 
 #: ALU ops participating in overflow detection (mirrors alu_overflows)
 _OVF_OPS = (AluOp.ADD, AluOp.SUB, AluOp.RSUB)
@@ -154,16 +137,10 @@ class EngineStats:
     bails: int = 0           # handlers that punted pre-mutation at run time
     invalidations: int = 0   # compiled words dropped (SMC, DMA, loader pokes, remaps)
     bursts: int = 0          # batched inner-loop entries
-    # dispatch accounting (deterministic per workload: burst boundaries,
-    # heat accumulation, and block formation are all serial and exact)
+    # dispatch accounting (deterministic per workload: burst boundaries
+    # are serial and exact)
     word_dispatches: int = 0    # words executed through per-address handlers
     ref_steps: int = 0          # words delegated to the reference stepper
-    # superblock (JIT second gear) tier
-    block_compiles: int = 0     # superblocks fused
-    block_entries: int = 0      # fused-handler invocations
-    block_bails: int = 0        # block executions that punted mid-block
-    block_invalidations: int = 0  # blocks dropped (SMC, DMA, page-map change)
-    fused_words: int = 0        # total words folded into superblocks
 
 
 class _Context:
@@ -176,7 +153,7 @@ class _Context:
     ``space``, and cache handlers by system virtual address.
     """
 
-    __slots__ = ("key", "space", "handlers", "deltas", "blocks", "jit_attempted")
+    __slots__ = ("key", "space", "handlers", "deltas")
 
     def __init__(self, key: int, space: int = 0):
         self.key = key
@@ -186,28 +163,6 @@ class _Context:
         #: address -> (pieces, noops, loads, stores, branches,
         #:             taken_static, mem_used, note)
         self.deltas: Dict[int, tuple] = {}
-        #: entry address -> fused superblock (populated only with JIT on)
-        self.blocks: Dict[int, object] = {}
-        #: entries/members already considered for fusion (no re-tries)
-        self.jit_attempted: set = set()
-
-
-class _WordIR:
-    """One word's emitted straight-line code, sans epilogue.
-
-    ``body`` is everything the per-word handler does except next-PC
-    selection, so the superblock fuser can concatenate bodies and write
-    its own control flow around them.
-    """
-
-    __slots__ = ("body", "flow", "delta", "can_bail", "is_store")
-
-    def __init__(self, body, flow, delta, can_bail, is_store):
-        self.body = body
-        self.flow = flow
-        self.delta = delta
-        self.can_bail = can_bail
-        self.is_store = is_store
 
 
 class FastPathEngine:
@@ -244,21 +199,6 @@ class FastPathEngine:
         self.last_run_steps = 0
         self.stats = EngineStats()
         self._st = [-1, 0, -1, -1, 0]
-        # ---- superblock JIT (second gear) state ----------------------
-        self._jit = False
-        self._jit_threshold = 64
-        #: per-PC execution heat (JIT mode only; seeded from an attached
-        #: profiler so tiering warms up from live counts)
-        self._heat: Dict[int, int] = {}
-        #: every compile-time-known branch target (block split points)
-        self._branch_targets: set = set()
-        #: member address -> [(context, block entry), ...]
-        self._block_members: Dict[int, list] = {}
-        #: bumped on every invalidation; running blocks compare against
-        #: their entry snapshot and exit early when it moves
-        self._block_epoch = [0]
-        #: shared progress cell: blocks report words completed through it
-        self._progress = [0]
         if self._supported and hasattr(physical, "watch_hook"):
             physical.watch_hook = self._on_external_write
         pagemap = getattr(mem, "pagemap", None)
@@ -273,53 +213,17 @@ class FastPathEngine:
         #: the globals all per-word handlers share
         self._env = self._base_env() if self._supported else None
 
-    def enable_jit(self, threshold: Optional[int] = None) -> None:
-        """Turn on profile-guided superblock fusion (the second gear).
-
-        Hot straight-line runs and loop bodies are fused into single
-        compiled handlers once their entry's execution count crosses
-        ``threshold``.  Heat comes from live execution; an attached
-        :class:`~repro.perf.profiler.Profiler`'s per-PC counts seed it,
-        so no ahead-of-time profile files are involved.
-        """
-        if threshold is not None:
-            self._jit_threshold = threshold
-        if self._jit:
-            return
-        self._jit = True
-        profiler = self.cpu.profiler
-        if profiler is not None and profiler.counts:
-            heat = self._heat
-            hget = heat.get
-            for wpc, c in profiler.counts.items():
-                heat[wpc] = hget(wpc, 0) + c
-
     def release(self) -> None:
-        """Drop every compiled handler and fused block; counters stay.
+        """Drop every compiled handler; counters stay.
 
         The engine, its CPU and its handlers reference one another, so
         a finished kernel's handlers would otherwise live until the next
         full garbage collection.  Running on afterwards is exact: words
         simply compile again.
         """
-        for table in (self._contexts, self._mapped, self._mapped_words, self._block_members):
+        for table in (self._contexts, self._mapped, self._mapped_words):
             table.clear()
         self._compiled_pcs.clear()
-
-    @property
-    def jit_enabled(self) -> bool:
-        return self._jit
-
-    def tier(self, pc: int) -> str:
-        """The JIT tier serving ``pc``: fused / threaded / interpreted."""
-        for bctx, entry in self._block_members.get(pc, ()):
-            if entry in bctx.blocks:
-                return "fused"
-        for ctx in self._contexts.values():
-            h = ctx.handlers.get(pc)
-            if h is not None and h is not _FALLBACK:
-                return "threaded"
-        return "interpreted"
 
     # ------------------------------------------------------------------
     # driving loop
@@ -344,7 +248,6 @@ class FastPathEngine:
         contexts = self._contexts
         mapped = self._mapped
         estats = self.stats
-        burst = self._burst_jit if self._jit else self._burst
         steps = 0
         self.last_run_steps = 0
         supported = self._supported and not self._disabled
@@ -378,7 +281,7 @@ class FastPathEngine:
                     if ctx is None:
                         ctx = _Context(key)
                         contexts[key] = ctx
-                    n = burst(ctx, budget)
+                    n = self._burst(ctx, budget)
                 steps += n
                 self.last_run_steps = steps
                 if self._disabled:
@@ -620,178 +523,6 @@ class FastPathEngine:
         return n
 
     # ------------------------------------------------------------------
-    # the JIT burst: same contract as _burst, plus the superblock tier
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _expand_block(blk, executed: int, counts: Dict[int, int], get_count) -> None:
-        """Unfold a block execution into per-word counts.
-
-        Execution order inside a block is always member order (repeated
-        for looping blocks), so ``executed`` words decompose into whole
-        passes plus a prefix -- which keeps the counts x deltas flush,
-        profiler merge, and counter groups bit-identical to per-word
-        execution.
-        """
-        size = blk.size
-        full, rem = divmod(executed, size)
-        for i, wpc in enumerate(blk.pcs):
-            c = full + 1 if i < rem else full
-            if c:
-                counts[wpc] = get_count(wpc, 0) + c
-
-    def _burst_jit(self, ctx: _Context, budget: int) -> int:
-        """The burst loop with superblock dispatch layered on top.
-
-        Kept separate from :meth:`_burst` so the ``jit=False`` inner
-        loop is untouched -- same bytecode, same speed, same output.
-        """
-        cpu = self.cpu
-        regs = cpu.regs
-        st = self._st
-        estats = self.stats
-        estats.bursts += 1
-        if not self._sync_in():
-            return 0
-
-        pc = cpu.pc
-        n = 0
-        pword = 0  # words run through per-address handlers (not blocks)
-        counts: Dict[int, int] = {}
-        #: block -> words executed through it this burst; expanded into
-        #: per-word counts once, at the flush
-        bcounts: Dict[object, int] = {}
-        handlers = ctx.handlers
-        blocks = ctx.blocks
-        get_handler = handlers.get
-        get_block = blocks.get
-        get_count = counts.get
-        bget = bcounts.get
-        P = self._progress
-        #: next per-word n at which to scan for newly hot entries --
-        #: without this, a trap-free hot loop would spend the whole
-        #: burst in per-word dispatch and only fuse at the final flush
-        check_at = 4096
-        try:
-            while n < budget:
-                if n >= check_at:
-                    check_at = n + 4096
-                    self._scan_heat(ctx, counts)
-                h = get_handler(pc)
-                if h is None:
-                    # fusing evicts the entry's per-word handler, so a
-                    # block entry lands here -- the per-word hot loop
-                    # pays nothing for block dispatch
-                    blk = get_block(pc)
-                    if blk is not None:
-                        # blocks assume empty pending-branch slots at
-                        # entry (that is what lets them drop per-word
-                        # epilogues) and a budget for one full pass
-                        if st[2] == -1 and st[3] == -1 and budget - n >= blk.size:
-                            estats.block_entries += 1
-                            P[0] = 0
-                            try:
-                                npc = blk.fn(regs, st, P, budget - n)
-                            except _Bail:
-                                estats.block_bails += 1
-                                executed = P[0]
-                                bcounts[blk] = bget(blk, 0) + executed
-                                n += executed
-                                # the bailed word re-executes on the
-                                # reference stepper after the flush
-                                pc = blk.pcs[executed % blk.size]
-                                break
-                            executed = P[0]
-                            bcounts[blk] = bget(blk, 0) + executed
-                            n += executed
-                            pc = npc
-                            continue
-                        # block not enterable right now: run the entry
-                        # word the ordinary way, without reinstalling it
-                        h = blk.word_handler
-                    else:
-                        if pc in counts or bcounts:
-                            # invalidated mid-burst: flush the executions
-                            # of the old word (or of any block member,
-                            # which only bcounts can see) against the old
-                            # deltas first
-                            break
-                        h = self._compile(ctx, pc)
-                if h is _FALLBACK:
-                    break
-                try:
-                    npc = h(regs, st)
-                except _Bail:
-                    estats.bails += 1
-                    break
-                counts[pc] = get_count(pc, 0) + 1
-                pc = npc
-                n += 1
-                pword += 1
-        finally:
-            estats.word_dispatches += pword
-            if bcounts:
-                for blk, executed in bcounts.items():
-                    self._expand_block(blk, executed, counts, get_count)
-            self._flush(ctx, counts)
-            self._profile(counts)
-            # ---- tiering: accumulate heat, fuse fresh hot entries -----
-            heat = self._heat
-            hget = heat.get
-            thr = self._jit_threshold
-            btargets = self._branch_targets
-            attempted = ctx.jit_attempted
-            for wpc, c in counts.items():
-                total = hget(wpc, 0) + c
-                heat[wpc] = total
-                if total >= thr and wpc in btargets and wpc not in attempted:
-                    self._build_block(ctx, wpc)
-            self._sync_out(pc)
-        return n
-
-    def _scan_heat(self, ctx: _Context, counts: Dict[int, int]) -> None:
-        """Mid-burst tier check: fuse entries whose projected heat
-        (committed heat + this burst's so-far counts) crossed the
-        threshold.  Heat itself is only committed at the flush, so this
-        never double-counts."""
-        heat = self._heat
-        hget = heat.get
-        thr = self._jit_threshold
-        btargets = self._branch_targets
-        attempted = ctx.jit_attempted
-        for wpc, c in counts.items():
-            if (
-                hget(wpc, 0) + c >= thr
-                and wpc in btargets
-                and wpc not in attempted
-            ):
-                self._build_block(ctx, wpc)
-
-    def _build_block(self, ctx: _Context, entry: int) -> None:
-        """Try to fuse a superblock rooted at ``entry`` (once)."""
-        ctx.jit_attempted.add(entry)
-        from .jit import build_block  # local import: jit.py imports us
-
-        blk = build_block(self, ctx, entry)
-        if blk is None:
-            return
-        self.stats.block_compiles += 1
-        self.stats.fused_words += blk.size
-        ctx.blocks[entry] = blk
-        # evict the entry's per-word handler (discovery compiled it)
-        # into the block: block entry then rides the handler-miss path,
-        # so the per-word hot loop pays nothing for block dispatch; the
-        # evicted handler still serves arrivals that cannot enter the
-        # block.  _compiled_pcs keeps the entry, so the memory watch
-        # hook still sees external writes to it.
-        blk.word_handler = ctx.handlers.pop(entry)
-        members = self._block_members
-        for addr in blk.pcs:
-            # members never seed their own (overlapping) block
-            ctx.jit_attempted.add(addr)
-            members.setdefault(addr, []).append((ctx, entry))
-
-    # ------------------------------------------------------------------
     # invalidation (self-modifying code, DMA, loader pokes)
     # ------------------------------------------------------------------
 
@@ -810,18 +541,6 @@ class FastPathEngine:
         self._compiled_pcs.discard(addr)
         for page in self._frame_pages.get(addr >> 8, ()):
             self._drop_mapped((page << 8) | (addr & 255))
-        entries = self._block_members.pop(addr, None)
-        if entries:
-            # a running block observes the epoch move at its next safe
-            # boundary and exits back to per-word dispatch
-            self._block_epoch[0] += 1
-            for bctx, entry in entries:
-                blk = bctx.blocks.pop(entry, None)
-                if blk is None:
-                    continue
-                self.stats.block_invalidations += 1
-                for member in blk.pcs:
-                    bctx.jit_attempted.discard(member)
 
     def _drop_mapped(self, sva: int) -> None:
         """Drop the mapped handlers at system virtual address ``sva``."""
@@ -841,19 +560,8 @@ class FastPathEngine:
         Updates the frame table and its reverse map.  The page's mapped
         handlers stay cached across the change; mapping it again keeps
         each one whose compiled bits match the new frame and drops the
-        rest.  Fused blocks are all dropped, conservatively.
+        rest.
         """
-        dropped = 0
-        for ctx in self._contexts.values():
-            if ctx.blocks:
-                dropped += len(ctx.blocks)
-                ctx.blocks.clear()
-                ctx.jit_attempted.clear()
-        if dropped:
-            self.stats.block_invalidations += dropped
-            self._block_members.clear()
-            self._block_epoch[0] += 1
-
         words = self._mapped_words.get(page, {})
         old = self._frames.pop(page, None)
         if old is not None:
@@ -879,9 +587,7 @@ class FastPathEngine:
 
     def _unwatch(self, addr: int) -> None:
         """Stop watching ``addr`` for writes unless a live handler needs it."""
-        if addr in self._block_members or any(
-            addr in ctx.handlers for ctx in self._contexts.values()
-        ):
+        if any(addr in ctx.handlers for ctx in self._contexts.values()):
             return
         offset = addr & 255
         for page in self._frame_pages.get(addr >> 8, ()):
@@ -917,7 +623,7 @@ class FastPathEngine:
         return handler
 
     def _base_env(self) -> Dict[str, object]:
-        """The globals every generated handler (word or block) closes over."""
+        """The globals every generated handler closes over."""
         env = {
             "_B": _Bail,
             "MW": self._phys._words,
@@ -937,25 +643,21 @@ class FastPathEngine:
         return env
 
     def _try_compile(self, ctx: _Context, pc: int, sva: Optional[int] = None):
-        ir = self._emit_word(ctx, pc, "", sva)
-        if ir is None:
+        emitted = self._emit_word(ctx, pc, sva)
+        if emitted is None:
             return None
-        body = ir.body + self._emit_epilogue(ir.flow, pc)
+        body, delta = emitted
         src = "def _h(regs, st):\n" + "\n".join("    " + line for line in body)
-        ctx.deltas[pc if sva is None else sva] = ir.delta
+        ctx.deltas[pc if sva is None else sva] = delta
         return _make_handler(src, self._env)
 
-    def _emit_word(self, ctx: _Context, pc: int, p: str, sva: Optional[int] = None):
-        """Emit the straight-line IR of the word at ``pc``.
+    def _emit_word(self, ctx: _Context, pc: int, sva: Optional[int] = None):
+        """Emit the handler body of the word at ``pc``.
 
-        ``p`` prefixes every generated temporary so several words can be
-        fused into one namespace by the superblock builder; the per-word
-        handlers use the empty prefix, which reproduces the original
-        generated source byte for byte.  In a mapped context ``pc`` is
-        virtual and ``sva`` its system virtual address, whose page must
-        be in the frame table.  Returns a :class:`_WordIR` (body sans
-        next-PC epilogue) or ``None`` when the word belongs to the
-        reference stepper.
+        In a mapped context ``pc`` is virtual and ``sva`` its system
+        virtual address, whose page must be in the frame table.  Returns
+        ``(body lines, stats delta)``, or ``None`` when the word belongs
+        to the reference stepper.
         """
         from .cpu import HazardMode  # local import: cpu.py imports us lazily
 
@@ -1007,8 +709,8 @@ class FastPathEngine:
             if isinstance(piece, WriteSpecial):
                 if piece.sreg is not SpecialReg.LO:
                     return None
-                pre.append(f"_{p}w{idx} = {self._operand(piece.src)}")
-                commit.append(f"CPU.lo = _{p}w{idx}")
+                pre.append(f"_w{idx} = {self._operand(piece.src)}")
+                commit.append(f"CPU.lo = _w{idx}")
                 continue
             if isinstance(piece, MovImm):
                 commit.append(f"regs[{piece.dst.number}] = {piece.value}")
@@ -1017,38 +719,34 @@ class FastPathEngine:
                 commit.append(f"regs[{piece.dst.number}] = {u32(piece.value)}")
                 continue
             if isinstance(piece, Alu):
-                lines = self._emit_alu(piece, idx, ovf_enabled, p)
+                lines = self._emit_alu(piece, idx, ovf_enabled)
                 if lines is None:
                     return None
                 pre.extend(lines)
-                commit.append(f"regs[{piece.dst.number}] = _{p}t{idx}")
+                commit.append(f"regs[{piece.dst.number}] = _t{idx}")
                 continue
             if isinstance(piece, SetCond):
                 cond = _COND_TEMPLATES[piece.cond].format(
                     a=self._operand(piece.s1), b=self._operand(piece.s2)
                 )
-                pre.append(f"_{p}t{idx} = 1 if {cond} else 0")
-                commit.append(f"regs[{piece.dst.number}] = _{p}t{idx}")
+                pre.append(f"_t{idx} = 1 if {cond} else 0")
+                commit.append(f"regs[{piece.dst.number}] = _t{idx}")
                 continue
             if isinstance(piece, CompareBranch):
                 if not isinstance(piece.target, int):
                     return None
-                if sva is None:
-                    self._branch_targets.add(int(piece.target))
                 cond = _COND_TEMPLATES[piece.cond].format(
                     a=self._operand(piece.s1), b=self._operand(piece.s2)
                 )
-                pre.append(f"_{p}tk = {cond}")
+                pre.append(f"_tk = {cond}")
                 if interlocked:
                     # taken branches squash the pipe: reference work
-                    pre.append(f"if _{p}tk: raise _B")
+                    pre.append("if _tk: raise _B")
                 flow = piece
                 continue
             if isinstance(piece, Jump):
                 if not isinstance(piece.target, int) or interlocked:
                     return None
-                if sva is None:
-                    self._branch_targets.add(int(piece.target))
                 if piece.link:
                     commit.append(f"regs[{RA.number}] = {pc + 1 + piece.delay_slots}")
                 flow = piece
@@ -1056,7 +754,7 @@ class FastPathEngine:
             if isinstance(piece, JumpIndirect):
                 if interlocked:
                     return None
-                pre.append(f"_{p}tgt = regs[{piece.reg.number}]")
+                pre.append(f"_tgt = regs[{piece.reg.number}]")
                 if piece.link:
                     commit.append(f"regs[{RA.number}] = {pc + 1 + piece.delay_slots}")
                 flow = piece
@@ -1068,42 +766,42 @@ class FastPathEngine:
         # ---- memory reference -----------------------------------------
         mem_lines: list = []
         if mem_piece is not None:
-            ea = self._emit_ea(mem_piece, pre, p, sva is not None)
+            ea = self._emit_ea(mem_piece, pre, sva is not None)
             if ea is None:
                 return None
             if sva is not None:
-                ea = self._emit_translate(ea, pre, p, sva, ctx.space)
-                mem_lines.append(f"REF[_{p}pg] = True")
+                ea = self._emit_translate(ea, pre, sva, ctx.space)
+                mem_lines.append("REF[_pg] = True")
             note = mem_piece.note
             if isinstance(mem_piece, Load):
-                mem_lines.append(f"_{p}vld = MWG({ea}, 0)")
+                mem_lines.append(f"_vld = MWG({ea}, 0)")
                 load_dst = mem_piece.dst.number
             else:
                 if sva is not None:
-                    mem_lines.append(f"DRT[_{p}pg] = True")
-                pre.append(f"_{p}vst = regs[{mem_piece.src.number}]")
-                mem_lines.append(f"MW[{ea}] = _{p}vst")
+                    mem_lines.append("DRT[_pg] = True")
+                pre.append(f"_vst = regs[{mem_piece.src.number}]")
+                mem_lines.append(f"MW[{ea}] = _vst")
                 mem_lines.append(f"if {ea} in FPCS: INVAL({ea})")
 
         # ---- assemble the body ----------------------------------------
         body: list = []
         if (checked or interlocked) and reads:
-            conflict = " or ".join(f"_{p}dr == {r}" for r in reads)
-            body.append(f"_{p}dr = st[0]")
-            body.append(f"if _{p}dr != -1 and ({conflict}): raise _B")
+            conflict = " or ".join(f"_dr == {r}" for r in reads)
+            body.append("_dr = st[0]")
+            body.append(f"if _dr != -1 and ({conflict}): raise _B")
         body.extend(pre)
         body.extend(mem_lines)
-        body.append(f"_{p}d = st[0]")
-        body.append(f"if _{p}d != -1:")
-        body.append(f"    regs[_{p}d] = st[1]")
+        body.append("_d = st[0]")
+        body.append("if _d != -1:")
+        body.append("    regs[_d] = st[1]")
         if load_dst is None:
             body.append("    st[0] = -1")
         body.extend(commit)
         if load_dst is not None:
             if interlocked:
-                body.append(f"regs[{load_dst}] = _{p}vld")
+                body.append(f"regs[{load_dst}] = _vld")
             body.append(f"st[0] = {load_dst}")
-            body.append(f"st[1] = _{p}vld")
+            body.append("st[1] = _vld")
 
         branches = 1 if flow is not None else 0
         taken_static = 1 if isinstance(flow, (Jump, JumpIndirect)) else 0
@@ -1117,8 +815,8 @@ class FastPathEngine:
             1 if word.uses_memory else 0,
             note,
         )
-        can_bail = any("raise" in line for line in body)
-        return _WordIR(body, flow, delta, can_bail, isinstance(mem_piece, Store))
+        body.extend(self._emit_epilogue(flow, pc))
+        return body, delta
 
     # ---- emit helpers -----------------------------------------------------
 
@@ -1128,27 +826,25 @@ class FastPathEngine:
             return str(op.value)
         return f"regs[{op.number}]"
 
-    def _emit_alu(
-        self, piece: Alu, idx: int, ovf_enabled: bool, p: str = ""
-    ) -> Optional[list]:
-        lines = [f"_{p}a{idx} = {self._operand(piece.s1)}"]
-        a = f"_{p}a{idx}"
+    def _emit_alu(self, piece: Alu, idx: int, ovf_enabled: bool) -> Optional[list]:
+        lines = [f"_a{idx} = {self._operand(piece.s1)}"]
+        a = f"_a{idx}"
         op = piece.op
         if op is AluOp.MOV:
-            lines.append(f"_{p}t{idx} = {a}")
+            lines.append(f"_t{idx} = {a}")
             return lines
         if op is AluOp.NOT:
-            lines.append(f"_{p}t{idx} = {a} ^ 4294967295")
+            lines.append(f"_t{idx} = {a} ^ 4294967295")
             return lines
         if op is AluOp.IC:
-            lines.append(f"_{p}sh = (CPU.lo & 3) * 8")
+            lines.append("_sh = (CPU.lo & 3) * 8")
             lines.append(
-                f"_{p}t{idx} = (regs[{piece.dst.number}] & ~(255 << _{p}sh) & 4294967295)"
-                f" | (({a} & 255) << _{p}sh)"
+                f"_t{idx} = (regs[{piece.dst.number}] & ~(255 << _sh) & 4294967295)"
+                f" | (({a} & 255) << _sh)"
             )
             return lines
-        lines.append(f"_{p}b{idx} = {self._operand(piece.s2)}")
-        b = f"_{p}b{idx}"
+        lines.append(f"_b{idx} = {self._operand(piece.s2)}")
+        b = f"_b{idx}"
         if ovf_enabled and op in _OVF_OPS:
             lines.append(f"if OVF(OP_{op.name}, {a}, {b}): raise _B")
         if op is AluOp.ADD:
@@ -1177,17 +873,17 @@ class FastPathEngine:
         elif op is AluOp.MSTEP:
             expr = f"({a} * 2 + {b}) & 4294967295"
         elif op is AluOp.DSTEP:
-            lines.append(f"_{p}sh = ({a} << 1) & 4294967295")
+            lines.append(f"_sh = ({a} << 1) & 4294967295")
             lines.append(
-                f"_{p}t{idx} = (_{p}sh - {b}) | 1 if _{p}sh >= {b} else _{p}sh & 4294967294"
+                f"_t{idx} = (_sh - {b}) | 1 if _sh >= {b} else _sh & 4294967294"
             )
             return lines
         else:
             return None
-        lines.append(f"_{p}t{idx} = {expr}")
+        lines.append(f"_t{idx} = {expr}")
         return lines
 
-    def _emit_ea(self, piece, pre: list, p: str = "", mapped: bool = False) -> Optional[str]:
+    def _emit_ea(self, piece, pre: list, mapped: bool = False) -> Optional[str]:
         """Emit effective-address computation + bail checks; returns its name.
 
         A ``mapped`` address is virtual: it gets no physical checks here,
@@ -1195,7 +891,7 @@ class FastPathEngine:
         """
         size = self._phys.size
         addr = piece.addr
-        ea = f"_{p}ea"
+        ea = "_ea"
         if isinstance(addr, Absolute):
             if mapped:
                 return str(u32(addr.addr))
@@ -1231,27 +927,27 @@ class FastPathEngine:
         return ea
 
     @staticmethod
-    def _emit_translate(ea: str, pre: list, p: str, sva: int, space: int) -> str:
+    def _emit_translate(ea: str, pre: list, sva: int, space: int) -> str:
         """Emit the segment check and frame-table lookup of a mapped data
         reference at virtual ``ea``; returns the physical address's name.
 
         The handler at ``sva`` only runs while ``segpid`` names its
-        process, so the process base is a constant.  ``_{p}pg`` holds
+        process, so the process base is a constant.  ``_pg`` holds
         the system page, for the referenced and dirty bits.
         """
         half = space >> 1
         base = sva - sva % space
         pre.append(f"if {ea} < {half}:")
-        pre.append(f"    _{p}s = {ea} + {base}")
+        pre.append(f"    _s = {ea} + {base}")
         pre.append(f"elif {ea} >= {(1 << 32) - half}:")
-        pre.append(f"    _{p}s = {ea} - {(1 << 32) - space - base}")
+        pre.append(f"    _s = {ea} - {(1 << 32) - space - base}")
         pre.append("else:")
         pre.append("    raise _B")
-        pre.append(f"_{p}pg = _{p}s >> 8")
-        pre.append(f"_{p}f = FR.get(_{p}pg)")
-        pre.append(f"if _{p}f is None: raise _B")
-        pre.append(f"_{p}pa = _{p}f | (_{p}s & 255)")
-        return f"_{p}pa"
+        pre.append("_pg = _s >> 8")
+        pre.append("_f = FR.get(_pg)")
+        pre.append("if _f is None: raise _B")
+        pre.append("_pa = _f | (_s & 255)")
+        return "_pa"
 
     @staticmethod
     def _emit_epilogue(flow, pc: int) -> list:
@@ -1296,43 +992,3 @@ class FastPathEngine:
             f"return _p if _p != -1 else {seq}",
         ]
 
-
-def _make_handler(src: str, env: Dict[str, object]):
-    """The function defined by generated handler source ``src`` over ``env``.
-
-    Handlers differ mostly in their integer literals, and ``compile`` is
-    the largest cost of translation.  So each shape (the source with its
-    literals blanked) is compiled once per process, with a probe value
-    for every literal; an instance copies the shape's code object with
-    its own literals put into those ``co_consts`` slots.  The bytecode
-    is the one ``compile(src)`` produces, up to constant-table indices.
-    """
-    parts = _LITERAL.split(src)
-    key = "#".join(parts[0::2])
-    shape = _SHAPES.get(key, False)
-    if shape is False:
-        shape = _compile_shape(parts)
-        if len(_SHAPES) < _MAX_SHAPES:
-            _SHAPES[key] = shape
-    if shape is None:
-        exec(src, env)  # noqa: S102 - generating the threaded-code handler
-        return env.pop("_h")
-    code, slots = shape
-    consts = list(code.co_consts)
-    for slot, literal in zip(slots, parts[1::2]):
-        consts[slot] = int(literal)
-    return FunctionType(code.replace(co_consts=tuple(consts)), env)
-
-
-def _compile_shape(parts: list) -> Optional[tuple]:
-    """Compile a handler shape; None unless every literal kept its own slot."""
-    probed = list(parts)
-    for i in range(1, len(parts), 2):
-        probed[i] = str(_PROBE + i // 2)
-    module = compile("".join(probed), "<handler>", "exec")
-    code = next(c for c in module.co_consts if isinstance(c, CodeType))
-    try:
-        slots = [code.co_consts.index(_PROBE + i) for i in range(len(parts) // 2)]
-    except ValueError:
-        return None  # two literals folded into one constant
-    return code, slots

@@ -37,7 +37,18 @@ TRAP_WRITE_INT = 1
 TRAP_WRITE_CHAR = 2
 TRAP_READ_INT = 3
 
+#: the engines a caller may name: the threaded-code fast path
+#: (``fast=True``) and the precise per-step reference stepper
+ENGINES = ("fast", "precise")
+
 DEFAULT_STACK_TOP = (1 << 20) - 1
+
+
+def engine_is_fast(engine: str) -> bool:
+    """The ``fast`` flag that selects engine ``engine``; unknown names raise."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r} (have {', '.join(ENGINES)})")
+    return engine == "fast"
 
 
 class Machine:
@@ -88,7 +99,7 @@ class Machine:
 
     # -- running --------------------------------------------------------------
 
-    def run(self, max_steps: int = 5_000_000, fast: bool = True, jit: bool = False) -> CpuStats:
+    def run(self, max_steps: int = 5_000_000, fast: bool = True) -> CpuStats:
         """Run until the program halts (trap #0); returns CPU statistics.
 
         ``fast=True`` drives the threaded-code engine
@@ -96,19 +107,16 @@ class Machine:
         falls back to the reference stepper on traps, faults, and
         interlock events -- behaviour and statistics are bit-identical
         to the per-step loop, which ``fast=False`` retains.
-        ``jit=True`` additionally engages profile-guided superblock
-        fusion (:mod:`repro.sim.jit`) on top of the fast path; output
-        stays bit-identical across all three tiers.
 
         Raises :class:`TimeoutError` when the step budget is exhausted
         -- runaway programs are bugs, and tests should see them.
         """
-        self.run_steps(max_steps, fast=fast, jit=jit)
+        self.run_steps(max_steps, fast=fast)
         if not self.halted:
             raise TimeoutError(f"program did not halt within {max_steps} steps")
         return self.cpu.stats
 
-    def run_steps(self, budget: int, fast: bool = True, jit: bool = False) -> int:
+    def run_steps(self, budget: int, fast: bool = True) -> int:
         """Execute at most ``budget`` instruction words; returns the count.
 
         Stops early on halt (trap #0), setting :attr:`halted`.  This is
@@ -120,8 +128,6 @@ class Machine:
         done = 0
         if fast:
             engine = self.cpu.fastpath()
-            if jit:
-                engine.enable_jit()
             while done < budget:
                 try:
                     done += engine.run(budget - done)

@@ -435,7 +435,7 @@ class Kernel:
 
     # -- running -----------------------------------------------------------------
 
-    def run(self, max_steps: int = 20_000_000, fast: bool = True, jit: bool = False) -> None:
+    def run(self, max_steps: int = 20_000_000, fast: bool = True) -> None:
         """Run until every process exits (the kernel halts the machine).
 
         ``fast=True`` batches execution through the threaded-code
@@ -446,14 +446,12 @@ class Kernel:
         bounded by ``cycle_limit`` and fast words are one cycle each, so
         the interrupt is raised at the same step boundary the per-step
         loop (retained under ``fast=False``) would have used.
-        ``jit=True`` adds superblock fusion to kernel-mode code; results
-        stay bit-identical.
         """
-        self.run_steps(max_steps, fast=fast, jit=jit)
+        self.run_steps(max_steps, fast=fast)
         if not self.halted:
             raise TimeoutError(f"kernel did not finish within {max_steps} steps")
 
-    def run_steps(self, budget: int, fast: bool = True, jit: bool = False) -> int:
+    def run_steps(self, budget: int, fast: bool = True) -> int:
         """Execute at most ``budget`` instruction words; returns the count.
 
         Stops early when the kernel halts the machine (setting
@@ -465,8 +463,6 @@ class Kernel:
         if not self.booted:
             self.boot()
         engine = self.cpu.fastpath() if fast else None
-        if engine is not None and jit:
-            engine.enable_jit()
         stats = self.cpu.stats
         done = 0
         try:

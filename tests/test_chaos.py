@@ -24,6 +24,7 @@ from repro.chaos import (
     injection,
     make_plan,
     run_campaign,
+    run_campaign_plan,
     run_plan,
     shortest_failing_prefix,
 )
@@ -113,6 +114,17 @@ class TestShippedCampaigns:
         assert fast["records"] == precise["records"]
         assert fast["final"] == precise["final"]
         assert fast["outputs"] == precise["outputs"]
+
+    @pytest.mark.parametrize("engine", ["jit", "turbo"])
+    def test_unknown_engine_is_rejected(self, engine):
+        """A name outside repro.sim.ENGINES must not run the fast path
+        under its own label."""
+        with pytest.raises(ValueError, match=f"unknown engine '{engine}'"):
+            run_campaign("bitflips", seed=SEED, engines=(engine,))
+        campaign = CAMPAIGNS["bitflips"]
+        plan = campaign.build_plan(SEED, _baseline(campaign)["steps"])
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_campaign_plan(campaign, plan, engines=("fast", engine))
 
     def test_nested_faults_ends_in_wellformed_panic(self):
         summary = run_campaign("nested-faults", seed=SEED)
@@ -252,6 +264,13 @@ class TestFarmIntegration:
         assert chaos["seed"] == SEED
         assert chaos["violations"] == []
         assert chaos["digest"] == run_campaign("device-stall", seed=SEED)["digest"]
+
+    def test_unknown_engine_job_is_an_error_record(self):
+        (job,) = chaos_jobs(["bitflips"], seed=SEED, engines=("jit",))
+        record = execute_job(job.to_dict())
+        assert record["status"] == "error"
+        assert record["error"]["type"] == "ValueError"
+        assert "unknown engine 'jit'" in record["error"]["message"]
 
     def test_campaign_jobs_through_scheduler(self):
         jobs = chaos_jobs(["nested-faults"], seed=SEED)

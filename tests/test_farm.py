@@ -114,6 +114,16 @@ class TestSerialExecution:
         assert record["error"]["cause"] == "PAGE_FAULT"
         assert record["error"]["address"] == 0x800000
 
+    @pytest.mark.parametrize("engine", ["jit", "turbo"])
+    def test_unknown_engine_becomes_error_record(self, engine):
+        """A job naming an engine outside repro.sim.ENGINES fails as a
+        structured record instead of running some other engine."""
+        job = Job(kind="workload", name="scanner", spec={"engine": engine})
+        (record,) = fast_scheduler(jobs=1).run([job])
+        assert record["status"] == "error"
+        assert record["error"]["type"] == "ValueError"
+        assert f"unknown engine '{engine}'" in record["error"]["message"]
+
     def test_compile_error_becomes_error_record(self):
         job = Job(kind="source", name="broken", spec={"source": "this is not pascal"})
         (record,) = fast_scheduler(jobs=1).run([job])

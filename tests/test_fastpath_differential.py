@@ -147,13 +147,103 @@ def test_self_modifying_code_invalidates_compiled_handlers():
     _assert_identical(fast_m, ref_m)
 
 
+#: a counted loop whose body stores over a word of the same loop that
+#: runs later in the iteration (with the word's own bits: each store is
+#: value-identical but must still drop the compiled handler)
+STORE_INTO_LOOP_SOURCE = """
+        start:  ld @patch, r2
+                nop
+                mov #0, r1
+                lim #60, r4
+        loop:   add r1, #1, r1
+        tgt:    add r1, #0, r3
+                st r2, @tgt
+                blo r1, r4, loop
+                nop
+                add r3, #0, r1
+                trap #1
+                trap #0
+        patch:  .word 0
+"""
+
+
+def test_store_into_running_loop_matches_reference():
+    """A loop that rewrites one of its own words every iteration stays
+    exact: each store drops the word's handler if it has one."""
+    from repro.asm.assembler import assemble
+
+    program = assemble(STORE_INTO_LOOP_SOURCE)
+    machines = []
+    for fast in (True, False):
+        machine = Machine(program)
+        machine.memory.poke(program.symbol("patch"), program.memory[program.symbol("tgt")])
+        machine.run(fast=fast)
+        machines.append(machine)
+    fast_m, ref_m = machines
+    assert fast_m.output == [60]
+    _assert_identical(fast_m, ref_m)
+    # a dropped word that already ran in the burst ends it and runs once
+    # on the reference stepper, so every other store finds a handler
+    assert fast_m.cpu.fastpath().stats.invalidations == 30
+
+
+#: prints 100 five times; ``loop`` is hot long before the run ends
+HOT_LOOP_SOURCE = """
+        start:  mov #0, r3
+        outer:  mov #0, r1
+                lim #100, r2
+        loop:   add r1, #1, r1
+                blo r1, r2, loop
+                nop
+                trap #1
+                add r3, #1, r3
+                blo r3, #5, outer
+                nop
+                trap #0
+"""
+
+
+def test_external_write_mid_run_matches_reference():
+    """A watch-hook write (the DMA and loader path) over a live, hot
+    handler between two runs drops it; execution stays exact."""
+    from repro.asm.assembler import assemble
+
+    program = assemble(HOT_LOOP_SOURCE)
+    entry = program.symbol("loop")
+    machines = []
+    for fast in (True, False):
+        machine = Machine(program)
+        machine.run_steps(700, fast=fast)
+        machine.memory.poke(entry, program.memory[entry])
+        machine.run(fast=fast)
+        machines.append(machine)
+    fast_m, ref_m = machines
+    assert fast_m.output == [100] * 5
+    _assert_identical(fast_m, ref_m)
+    assert fast_m.cpu.fastpath().stats.invalidations == 1
+
+
+def test_engine_stats_deterministic_across_runs():
+    """Dispatch accounting is exact: the dispatch gate depends on it."""
+    from dataclasses import asdict
+
+    from repro.asm.assembler import assemble
+
+    runs = []
+    for _ in range(2):
+        machine = Machine(assemble(HOT_LOOP_SOURCE))
+        machine.run()
+        runs.append(asdict(machine.cpu.fastpath().stats))
+    assert runs[0] == runs[1]
+    assert runs[0]["word_dispatches"] + runs[0]["ref_steps"] == machine.cpu.stats.words
+
+
 def _kernel_pair(programs, patch=None, **options):
     """Boot one kernel per engine over ``programs`` and run both to exit.
 
     ``patch``, when given, is ``(steps, apply)``: both kernels first run
     ``steps`` words, then ``apply(kernel)`` changes each the same way.
     """
-    jit = options.pop("jit", False)
     kernels = []
     for fast in (True, False):
         kernel = Kernel(inputs=[5, 6], **options)
@@ -161,9 +251,9 @@ def _kernel_pair(programs, patch=None, **options):
             kernel.add_process(program)
         if patch is not None:
             steps, apply = patch
-            kernel.run_steps(steps, fast=fast, jit=jit)
+            kernel.run_steps(steps, fast=fast)
             apply(kernel)
-        kernel.run(fast=fast, jit=jit)
+        kernel.run(fast=fast)
         kernels.append(kernel)
     return kernels
 
@@ -208,11 +298,9 @@ def test_kernel_differential(quantum, max_frames):
 
 
 @pytest.mark.parametrize(
-    "mode,jit",
-    ((HazardMode.BARE, False), (HazardMode.CHECKED, False), (HazardMode.BARE, True)),
-    ids=("bare", "checked", "jit"),
+    "mode", (HazardMode.BARE, HazardMode.CHECKED), ids=("bare", "checked")
 )
-def test_kernel_differential_four_processes(mode, jit):
+def test_kernel_differential_four_processes(mode):
     """Four processes, one MiniJava, 3 frames each: user-mode words run
     on mapped handlers and every page-map side effect stays exact."""
     from repro.mjlang import compile_minijava
@@ -222,7 +310,7 @@ def test_kernel_differential_four_processes(mode, jit):
         compile_source(CORPUS[name]).program for name in ("fib_iterative", "calc", "sieve")
     ] + [compile_minijava(MINIJAVA_CORPUS["mj_list"]).program]
     fast_k, ref_k = _kernel_pair(
-        programs, quantum=1000, max_frames=12, hazard_mode=mode, jit=jit
+        programs, quantum=1000, max_frames=12, hazard_mode=mode
     )
     _assert_kernels_identical(fast_k, ref_k)
     assert ref_k.pagemap.stats.victims_suggested > 0  # the cap evicts

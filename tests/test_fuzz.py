@@ -100,7 +100,7 @@ def test_oracle_digest_is_deterministic():
 
 def test_planted_divergence_is_caught():
     case = make_case(23, 1, MODE_BOTH)
-    oracle.DIVERGENCE_HOOK = lambda source, engine: engine == "jit"
+    oracle.DIVERGENCE_HOOK = lambda source, engine: engine == "fast"
     result = check_case(case)
     assert result.failed
     checks = {d["check"] for d in result.divergences}
@@ -151,7 +151,7 @@ def test_farm_records_are_identical_across_jobs_1_and_2():
 
 
 def test_divergent_batch_fails_the_farm_record():
-    oracle.DIVERGENCE_HOOK = lambda source, engine: engine == "jit"
+    oracle.DIVERGENCE_HOOK = lambda source, engine: engine == "fast"
     job = fuzz_jobs(23, 2, mode=MODE_WORDS, batch=2, start=1)[0]
     record = Scheduler(jobs=1).run([job])[0]
     assert record["status"] == "error"
@@ -195,7 +195,7 @@ def test_planted_divergence_shrinks_to_minimal_prefix(tmp_path):
             break
     assert marker is not None
     oracle.DIVERGENCE_HOOK = (
-        lambda source, engine: engine == "jit" and marker in source
+        lambda source, engine: engine == "fast" and marker in source
     )
 
     minimized = minimize_case(case)
@@ -257,7 +257,7 @@ def test_cli_divergence_dumps_artifact_and_replay_round_trips(
 ):
     from repro.cli import fuzz_main
 
-    oracle.DIVERGENCE_HOOK = lambda source, engine: engine == "jit"
+    oracle.DIVERGENCE_HOOK = lambda source, engine: engine == "fast"
     artifacts = tmp_path / "artifacts"
     rc = fuzz_main(
         [

@@ -20,12 +20,12 @@ from repro.sim import Machine, MachineFault
 from repro.sim.faults import TrapInstruction
 from repro.workloads import MINIJAVA_CORPUS, MINIJAVA_EXPECTED
 
-ENGINES = {"precise": (False, False), "fast": (True, False), "jit": (True, True)}
+ENGINES = {"precise": False, "fast": True}
 
 
-def run_minijava(source, opt_level=None, fast=True, jit=False, max_steps=5_000_000):
+def run_minijava(source, opt_level=None, fast=True, max_steps=5_000_000):
     machine = Machine(compile_minijava(source, opt_level=opt_level).program)
-    machine.run(max_steps, fast=fast, jit=jit)
+    machine.run(max_steps, fast=fast)
     return machine
 
 
@@ -202,9 +202,9 @@ class TestHeapExhaustion:
 
     def test_exhaustion_identical_on_every_engine(self):
         codes = set()
-        for fast, jit in ENGINES.values():
+        for fast in ENGINES.values():
             with pytest.raises(TrapInstruction) as excinfo:
-                run_minijava(HEAP_HOG, fast=fast, jit=jit)
+                run_minijava(HEAP_HOG, fast=fast)
             codes.add(excinfo.value.code)
         assert codes == {6}
 
@@ -223,9 +223,9 @@ class TestCorpusDifferential:
             # engines must agree on everything, counters included, at
             # each level; levels only owe each other identical output
             per_engine = set()
-            for fast, jit in ENGINES.values():
+            for fast in ENGINES.values():
                 machine = Machine(compiled.program)
-                stats = machine.run(fast=fast, jit=jit)
+                stats = machine.run(fast=fast)
                 per_engine.add((tuple(machine.output), machine.output_text,
                                 stats.cycles, stats.words))
             assert len(per_engine) == 1, (level, per_engine)

@@ -171,7 +171,7 @@ class TestCachedScheduler:
         }
         assert len(digests) == 1
 
-    @pytest.mark.parametrize("engine", ["precise", "fast", "jit"])
+    @pytest.mark.parametrize("engine", ["precise", "fast"])
     def test_digest_identity_per_engine(self, tmp_path, engine):
         cache = ResultCache(str(tmp_path / "cache"))
         jobs = workload_jobs(["scanner"], engine=engine)

@@ -33,9 +33,9 @@ Four subcommands:
 
 ``dispatch`` / ``update-dispatch-baseline``
     The machine-independent throughput floor.  Simulates the quick
-    corpus on the JIT engine and gates the per-workload *dispatch
-    counts* (per-word handler entries + fused-block entries + reference
-    steps, from the engine's deterministic accounting) against the
+    corpus on the fast engine and gates the per-workload *dispatch
+    counts* (per-word handler entries + reference steps, from the
+    engine's deterministic accounting) against the
     committed ``DISPATCH_BASELINE.json``; any workload growing more
     than 2% fails, naming the worst offender.  This is what lets CI
     block on throughput without ever reading a clock -- wall-clock
@@ -283,7 +283,7 @@ def cmd_dispatch(args: argparse.Namespace) -> int:
 
     Wall-clock throughput is proportional to how many dispatches the
     engine pays per workload, and -- unlike wall clock -- the dispatch
-    count under the JIT engine is exactly reproducible on any machine.
+    count under the fast engine is exactly reproducible on any machine.
     Any workload whose count grows past the threshold fails, naming the
     worst offender.
     """
